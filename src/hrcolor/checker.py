@@ -6,6 +6,13 @@ connected component holding all palette colors, and it satisfies the hold
 condition ("hr") when no `a` vertices jointly hold all colors. Both checks
 enumerate attack sets in ascending lexicographic order, so reported
 witnesses are the smallest failing sets.
+
+The exhaustive scan is a prefix-OR walk: each (a-1)-vertex prefix, in
+lexicographic order, ORs its closed-neighborhood and color masks once and
+is extended by every larger last vertex, so sets still come in rank
+order. A per-scan memo of removed masks known to leave a full-color
+component skips repeated flood fills. Witnesses, examined counts and the
+thread pool's contiguous rank partition are those of a plain scan.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .coloring import Multicoloring
@@ -96,15 +103,10 @@ def _attack_leaves_full_component(
     closed: tuple[int, ...],
     colors: tuple[int, ...],
     full: int,
-    all_mask: int,
-    attack: tuple[int, ...],
+    survivors: int,
 ) -> bool:
-    """True when removing the attack's closed neighborhood leaves a component
-    whose color union is the whole palette."""
-    rm = 0
-    for u in attack:
-        rm |= closed[u]
-    survivors = all_mask & ~rm
+    """True when some component of the graph induced on `survivors` has a
+    color union equal to the whole palette `full`."""
     rem = survivors
     while rem:
         frontier = rem & -rem
@@ -142,55 +144,49 @@ def _scan_range(
     """Scan attack sets with ranks in [start, stop) and return the first
     hold-condition failure and the first resistance failure in that range.
 
-    Stops early once every wanted failure kind has been seen.
+    Prefix blocks (see the module docstring) wholly outside the range are
+    skipped and the two end blocks clipped. `passing` holds the removed
+    masks known to leave a full-color component; a failing mask needs no
+    entry, since the first failure settles resistance. Stops early once
+    every wanted failure kind has been seen.
     """
     hr_first: _Found | None = None
     res_first: _Found | None = None
     need_hr = want_hr
     need_res = want_res
-    idx = start
-    for attack in islice(combinations(range(n), a), start, stop):
-        if need_hr:
-            cm = 0
-            for u in attack:
-                cm |= colors[u]
-            if cm == full:
-                hr_first = (idx, attack)
+    passing: set[int] = set()
+    end = 0  # rank one past the current block
+    # a prefix ending in n-1 has no larger last vertex
+    for prefix in combinations(range(n - 1), a - 1):
+        lo = prefix[-1] + 1 if prefix else 0
+        begin, end = end, end + n - lo
+        if end <= start:
+            continue
+        if begin >= stop:
+            break
+        prefix_rm = 0
+        prefix_cm = 0
+        for u in prefix:
+            prefix_rm |= closed[u]
+            prefix_cm |= colors[u]
+        base = begin - lo  # rank of the set ending in v is base + v
+        first = lo if begin >= start else start - base
+        for v in range(first, n if end <= stop else stop - base):
+            if need_hr and prefix_cm | colors[v] == full:
+                hr_first = (base + v, (*prefix, v))
                 need_hr = False
                 if not need_res:
-                    break
-        if need_res:
-            rm = 0
-            for u in attack:
-                rm |= closed[u]
-            survivors = all_mask & ~rm
-            ok = False
-            rem = survivors
-            while rem:
-                frontier = rem & -rem
-                comp = 0
-                cu = 0
-                while frontier:
-                    comp |= frontier
-                    nxt = 0
-                    f = frontier
-                    while f:
-                        b = f & -f
-                        u = b.bit_length() - 1
-                        nxt |= closed[u]
-                        cu |= colors[u]
-                        f ^= b
-                    frontier = nxt & survivors & ~comp
-                if cu == full:
-                    ok = True
-                    break
-                rem &= ~comp
-            if not ok:
-                res_first = (idx, attack)
-                need_res = False
-                if not need_hr:
-                    break
-        idx += 1
+                    return hr_first, res_first
+            if need_res:
+                rm = prefix_rm | closed[v]
+                if rm not in passing:
+                    if _attack_leaves_full_component(closed, colors, full, all_mask & ~rm):
+                        passing.add(rm)
+                    else:
+                        res_first = (base + v, (*prefix, v))
+                        need_res = False
+                        if not need_hr:
+                            return hr_first, res_first
     return hr_first, res_first
 
 
@@ -347,13 +343,15 @@ def sample_check(
         for _ in range(count):
             attack = tuple(sorted(rng.sample(range(n), a)))
             cm = 0
+            rm = 0
             for u in attack:
                 cm |= colors[u]
+                rm |= closed[u]
             if cm == full:
                 hr_failures += 1
                 if first_hr is None:
                     first_hr = attack
-            if not _attack_leaves_full_component(closed, colors, full, all_mask, attack):
+            if not _attack_leaves_full_component(closed, colors, full, all_mask & ~rm):
                 res_failures += 1
                 if first_res is None:
                     first_res = attack
@@ -363,8 +361,9 @@ def sample_check(
             cm |= colors[u]
         assert cm == full
     if first_res is not None:
+        removed = g.closed_neighborhood_set(VertexSet.from_vertices(first_res, n))
         assert not _attack_leaves_full_component(
-            closed, colors, full, all_mask, first_res
+            closed, colors, full, all_mask & ~removed.mask
         )
     return SampleReport(
         trials=trials,

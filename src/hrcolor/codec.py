@@ -22,6 +22,11 @@ from .graph import Graph
 
 HEADER = "# instance document: vertices are 0-based, colors are 1-based"
 
+#: Largest vertex count a document may declare. Decoding a graph allocates
+#: per-vertex structures before any edge is read, so a larger count is
+#: refused up front (code "too-large"); every catalog instance has n <= 21.
+MAX_VERTICES = 4096
+
 
 class CodecError(ValueError):
     """Parse or validation failure with a stable machine-readable code."""
@@ -68,14 +73,44 @@ def _require_int(value: Any, field: str) -> int:
     return value
 
 
+def _require_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise CodecError(
+            "too-large", f"n = {n} exceeds the limit of {MAX_VERTICES} vertices"
+        )
+
+
+def _color_lists(raw_colors: list, k: int) -> list[list[int]]:
+    """Validate per-vertex color lists: 1-based colors within 1..k, sorted
+    ascending without duplicates."""
+    sets: list[list[int]] = []
+    for v, cs in enumerate(raw_colors):
+        if not isinstance(cs, list):
+            raise CodecError("schema", f"colors[{v}] must be a list")
+        vals = [_require_int(c, f"colors[{v}]") for c in cs]
+        for c in vals:
+            if not 1 <= c <= k:
+                raise CodecError(
+                    "color-range", f"colors[{v}] contains {c}, outside 1..{k}"
+                )
+        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
+            raise CodecError(
+                "color-order",
+                f"colors[{v}] must be sorted ascending with no duplicates",
+            )
+        sets.append(vals)
+    return sets
+
+
 _KNOWN_KEYS = {"name", "n", "edges", "k", "attackers", "colors"}
 
 
 def decode_instance(text: str) -> ColoredInstance:
     """Parse and validate an instance document.
 
-    Raises CodecError with one of the codes: syntax, schema, index-range,
-    self-loop, duplicate-edge, color-range, color-order, length-mismatch.
+    Raises CodecError with one of the codes: syntax, schema, too-large,
+    index-range, self-loop, duplicate-edge, color-range, color-order,
+    length-mismatch.
     """
     try:
         obj = json.loads(_strip_comments(text))
@@ -96,6 +131,7 @@ def decode_instance(text: str) -> ColoredInstance:
     n = _require_int(obj["n"], "n")
     if n < 0:
         raise CodecError("schema", "field 'n' must be non-negative")
+    _require_vertex_count(n)
     k = _require_int(obj["k"], "k")
     if k < 1:
         raise CodecError("schema", "field 'k' must be at least 1")
@@ -135,22 +171,7 @@ def decode_instance(text: str) -> ColoredInstance:
             "length-mismatch",
             f"'colors' has {len(raw_colors)} entries but n = {n}",
         )
-    sets: list[list[int]] = []
-    for v, cs in enumerate(raw_colors):
-        if not isinstance(cs, list):
-            raise CodecError("schema", f"colors[{v}] must be a list")
-        vals = [_require_int(c, f"colors[{v}]") for c in cs]
-        for c in vals:
-            if not 1 <= c <= k:
-                raise CodecError(
-                    "color-range", f"colors[{v}] contains {c}, outside 1..{k}"
-                )
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise CodecError(
-                "color-order",
-                f"colors[{v}] must be sorted ascending with no duplicates",
-            )
-        sets.append(vals)
+    sets = _color_lists(raw_colors, k)
 
     graph = Graph(n, edges)
     kappa = Multicoloring.from_sets(k, sets)
@@ -160,7 +181,11 @@ def decode_instance(text: str) -> ColoredInstance:
 
 
 def decode_edge_list(text: str) -> Graph:
-    """Parse a bare graph: first line "n m", then m lines "u v"."""
+    """Parse a bare graph: first line "n m", then m lines "u v".
+
+    Raises CodecError with one of the codes: syntax, schema, too-large,
+    index-range, self-loop, duplicate-edge.
+    """
     lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise CodecError("syntax", "empty edge-list document")
@@ -173,6 +198,7 @@ def decode_edge_list(text: str) -> Graph:
         raise CodecError("syntax", "first line must hold two integers") from None
     if n < 0 or m < 0:
         raise CodecError("schema", "counts must be non-negative")
+    _require_vertex_count(n)
     if len(lines) - 1 != m:
         raise CodecError(
             "syntax", f"expected {m} edge lines, found {len(lines) - 1}"
@@ -224,20 +250,5 @@ def decode_coloring(text: str) -> Multicoloring:
     raw_colors = obj["colors"]
     if not isinstance(raw_colors, list):
         raise CodecError("schema", "field 'colors' must be a list of color lists")
-    sets: list[list[int]] = []
-    for v, cs in enumerate(raw_colors):
-        if not isinstance(cs, list):
-            raise CodecError("schema", f"colors[{v}] must be a list")
-        vals = [_require_int(c, f"colors[{v}]") for c in cs]
-        for c in vals:
-            if not 1 <= c <= k:
-                raise CodecError(
-                    "color-range", f"colors[{v}] contains {c}, outside 1..{k}"
-                )
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise CodecError(
-                "color-order",
-                f"colors[{v}] must be sorted ascending with no duplicates",
-            )
-        sets.append(vals)
+    sets = _color_lists(raw_colors, k)
     return Multicoloring.from_sets(k, sets)

@@ -85,6 +85,31 @@ class VertexSet:
         return f"VertexSet({{{inner}}}, capacity={self.capacity})"
 
 
+def component_masks(closed: tuple[int, ...], survivors: int) -> list[int]:
+    """Connected components of the subgraph induced on the `survivors` mask,
+    as bit masks in ascending order of their smallest vertex.
+
+    `closed` holds each vertex's closed neighborhood as a bit mask.
+    """
+    out: list[int] = []
+    rem = survivors
+    while rem:
+        frontier = rem & -rem
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                nxt |= closed[b.bit_length() - 1]
+                f ^= b
+            frontier = nxt & survivors & ~comp
+        out.append(comp)
+        rem &= ~comp
+    return out
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -180,24 +205,7 @@ class Graph:
         if removed.capacity != self.n:
             raise ValueError("vertex set capacity does not match graph size")
         survivors = ~removed.mask & self.full_mask
-        closed = self._closed
-        out: list[VertexSet] = []
-        rem = survivors
-        while rem:
-            frontier = rem & -rem
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    nxt |= closed[b.bit_length() - 1]
-                    f ^= b
-                frontier = nxt & survivors & ~comp
-            out.append(VertexSet(comp, self.n))
-            rem &= ~comp
-        return out
+        return [VertexSet(m, self.n) for m in component_masks(self._closed, survivors)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -18,7 +18,7 @@ from typing import Iterator
 from . import constructions
 from .checker import check_highly, check_hr
 from .coloring import Multicoloring
-from .graph import Graph
+from .graph import Graph, component_masks
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -134,24 +134,7 @@ def _attack_component_masks(g: Graph, a: int) -> list[list[int]]:
         rm = 0
         for u in attack:
             rm |= closed[u]
-        survivors = all_mask & ~rm
-        comps: list[int] = []
-        rem = survivors
-        while rem:
-            frontier = rem & -rem
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    nxt |= closed[b.bit_length() - 1]
-                    f ^= b
-                frontier = nxt & survivors & ~comp
-            comps.append(comp)
-            rem &= ~comp
-        out.append(comps)
+        out.append(component_masks(closed, all_mask & ~rm))
     return out
 
 

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,14 @@ def k2_two_colors():
 
 def two_k2():
     return Graph(4, [(0, 1), (2, 3)]), Multicoloring.from_sets(2, [[1], [2], [1], [2]])
+
+
+# (instance, attack sizes) whose scans see few distinct removed masks; each
+# runs one size past the instance's design size, where it fails
+REPEATING_MASK_CASES = (
+    (clique_partition(3), (1, 2, 3, 4)),
+    (c7_pair(), (2, 3, 4)),
+)
 
 
 class TestValidation:
@@ -182,6 +192,13 @@ class TestCheckHighly:
             base = check_highly(g, kappa, a, threads=1)
             for t in (2, 5):
                 assert check_highly(g, kappa, a, threads=t) == base
+        # catalog instances repeat removed masks heavily, and these thread
+        # counts cut the rank range inside prefix blocks
+        for inst, sizes in REPEATING_MASK_CASES:
+            for a in sizes:
+                base = check_highly(inst.graph, inst.coloring, a, threads=1)
+                for t in (2, 3, 7):
+                    assert check_highly(inst.graph, inst.coloring, a, threads=t) == base
 
 
 class TestLemmaDisjunction:
@@ -294,6 +311,25 @@ def test_catalog_instances_agree_with_the_naive_reference():
         colors = [set(inst.coloring.colors_of(v)) for v in range(n)]
         assert naive_check_hr(n, edges, k, colors, a) == (True, None)
         assert naive_check_resistant(n, edges, k, colors, a) == (True, None)
+    for inst, sizes in REPEATING_MASK_CASES:
+        n, edges = inst.graph.n, list(inst.graph.edges())
+        k = inst.coloring.palette_size
+        colors = [set(inst.coloring.colors_of(v)) for v in range(n)]
+        for a in sizes:
+            hr_ok, hr_wit = naive_check_hr(n, edges, k, colors, a)
+            res_ok, res_wit = naive_check_resistant(n, edges, k, colors, a)
+            if hr_wit is not None and res_wit is not None:
+                ranks = list(combinations(range(n), a))
+                examined = max(ranks.index(hr_wit), ranks.index(res_wit)) + 1
+            else:
+                examined = comb(n, a)
+            rep = check_highly(inst.graph, inst.coloring, a)
+            assert (rep.hr_holds, rep.resistant) == (hr_ok, res_ok)
+            assert (None if rep.hr_witness is None else rep.hr_witness.vertices()) == hr_wit
+            assert (
+                None if rep.resistance_witness is None else rep.resistance_witness.vertices()
+            ) == res_wit
+            assert rep.attack_sets_examined == examined
 
 
 def test_downward_monotone_in_attack_size():

@@ -4,6 +4,7 @@ import pytest
 
 from hrcolor.checker import check_highly
 from hrcolor.codec import (
+    MAX_VERTICES,
     CodecError,
     decode_coloring,
     decode_edge_list,
@@ -135,6 +136,17 @@ class TestDecodeEdgeList:
 
     def test_isolated_vertices(self):
         assert decode_edge_list("5 0") == Graph(5)
+
+    def test_vertex_cap_is_checked_before_building(self):
+        with pytest.raises(CodecError) as exc:
+            decode_edge_list("1000000000 0")
+        assert exc.value.code == "too-large"
+        with pytest.raises(CodecError) as exc:
+            decode_instance(
+                f'{{"n": {MAX_VERTICES + 1}, "edges": [], "k": 1, "colors": []}}'
+            )
+        assert exc.value.code == "too-large"
+        assert decode_edge_list(f"{MAX_VERTICES} 0") == Graph(MAX_VERTICES)
 
 
 class TestDecodeColoring:
