@@ -10,9 +10,16 @@ witnesses are the smallest failing sets.
 The exhaustive scan is a prefix-OR walk: each (a-1)-vertex prefix, in
 lexicographic order, ORs its closed-neighborhood and color masks once and
 is extended by every larger last vertex, so sets still come in rank
-order. A per-scan memo of removed masks known to leave a full-color
-component skips repeated flood fills. Witnesses, examined counts and the
-thread pool's contiguous rank partition are those of a plain scan.
+order. Resistance needs one full-color connected part per attack, not
+whole components, so the single flood fill `_full_color_part` stops at the
+first BFS level whose colors reach the palette and returns the part it
+flooded. An attack whose removed mask misses the last part returned leaves
+that part whole and passes with no fill; otherwise a per-scan memo of
+removed masks known to leave a full-color component skips repeated fills.
+Sampling reuses the last part the same way. Each attack gets the same
+verdict as from a full flood fill, so witnesses, examined counts, sampled
+counts and the thread pool's contiguous rank partition are those of a
+plain scan.
 """
 
 from __future__ import annotations
@@ -99,14 +106,20 @@ def _validate(g: Graph, kappa: Multicoloring, a: int) -> None:
         raise ValueError(f"attack size must satisfy 1 <= a <= {g.n}, got {a}")
 
 
-def _attack_leaves_full_component(
+def _full_color_part(
     closed: tuple[int, ...],
     colors: tuple[int, ...],
     full: int,
     survivors: int,
-) -> bool:
-    """True when some component of the graph induced on `survivors` has a
-    color union equal to the whole palette `full`."""
+) -> int:
+    """A connected set of `survivors` whose color union is the whole palette
+    `full`, as a mask, or 0 when no component of the graph induced on
+    `survivors` has every color.
+
+    Each component is flooded level by level and the fill returns at the
+    first level where the colors reach `full`, so the part is the vertices
+    flooded so far: connected, but not always a whole component.
+    """
     rem = survivors
     while rem:
         frontier = rem & -rem
@@ -122,11 +135,11 @@ def _attack_leaves_full_component(
                 nxt |= closed[u]
                 cu |= colors[u]
                 f ^= b
+            if cu == full:
+                return comp
             frontier = nxt & survivors & ~comp
-        if cu == full:
-            return True
         rem &= ~comp
-    return False
+    return 0
 
 
 def _scan_range(
@@ -145,16 +158,19 @@ def _scan_range(
     hold-condition failure and the first resistance failure in that range.
 
     Prefix blocks (see the module docstring) wholly outside the range are
-    skipped and the two end blocks clipped. `passing` holds the removed
-    masks known to leave a full-color component; a failing mask needs no
-    entry, since the first failure settles resistance. Stops early once
-    every wanted failure kind has been seen.
+    skipped and the two end blocks clipped. An attack passes resistance
+    without a fill when its removed mask misses `part`, the last full-color
+    part a fill returned (-1 forces the first fill), or is in `passing`,
+    the removed masks known to leave a full-color component; a failing mask
+    needs no entry, since the first failure settles resistance. Stops early
+    once every wanted failure kind has been seen.
     """
     hr_first: _Found | None = None
     res_first: _Found | None = None
     need_hr = want_hr
     need_res = want_res
     passing: set[int] = set()
+    part = -1
     end = 0  # rank one past the current block
     # a prefix ending in n-1 has no larger last vertex
     for prefix in combinations(range(n - 1), a - 1):
@@ -179,8 +195,10 @@ def _scan_range(
                     return hr_first, res_first
             if need_res:
                 rm = prefix_rm | closed[v]
-                if rm not in passing:
-                    if _attack_leaves_full_component(closed, colors, full, all_mask & ~rm):
+                if rm & part and rm not in passing:
+                    found = _full_color_part(closed, colors, full, all_mask & ~rm)
+                    if found:
+                        part = found
                         passing.add(rm)
                     else:
                         res_first = (base + v, (*prefix, v))
@@ -319,7 +337,8 @@ def sample_check(
     across `workers` deterministic substreams, worker i drawing from a
     generator seeded by substream_seed(seed, i), so a report is reproduced
     exactly by its recorded (seed, trials, workers). Any reported failure
-    is re-verified against the definition before the report is returned.
+    is re-verified against the definition before the report is returned,
+    and a failure that does not replay raises RuntimeError.
     """
     _validate(g, kappa, a)
     if trials < 1:
@@ -337,11 +356,13 @@ def sample_check(
     res_failures = 0
     first_hr: tuple[int, ...] | None = None
     first_res: tuple[int, ...] | None = None
+    part = -1  # as in _scan_range
+    population = range(n)
     for w in range(workers):
         count = base + (1 if w < extra else 0)
-        rng = random.Random(substream_seed(seed, w))
+        sample = random.Random(substream_seed(seed, w)).sample
         for _ in range(count):
-            attack = tuple(sorted(rng.sample(range(n), a)))
+            attack = sample(population, a)
             cm = 0
             rm = 0
             for u in attack:
@@ -350,21 +371,27 @@ def sample_check(
             if cm == full:
                 hr_failures += 1
                 if first_hr is None:
-                    first_hr = attack
-            if not _attack_leaves_full_component(closed, colors, full, all_mask & ~rm):
-                res_failures += 1
-                if first_res is None:
-                    first_res = attack
+                    first_hr = tuple(sorted(attack))
+            if rm & part:
+                found = _full_color_part(closed, colors, full, all_mask & ~rm)
+                if found:
+                    part = found
+                else:
+                    res_failures += 1
+                    if first_res is None:
+                        first_res = tuple(sorted(attack))
     if first_hr is not None:
         cm = 0
         for u in first_hr:
             cm |= colors[u]
-        assert cm == full
+        if cm != full:
+            raise RuntimeError(f"sampled hold failure {first_hr} does not hold every color")
     if first_res is not None:
         removed = g.closed_neighborhood_set(VertexSet.from_vertices(first_res, n))
-        assert not _attack_leaves_full_component(
-            closed, colors, full, all_mask & ~removed.mask
-        )
+        if _full_color_part(closed, colors, full, all_mask & ~removed.mask):
+            raise RuntimeError(
+                f"sampled resistance failure {first_res} leaves a full-color component"
+            )
     return SampleReport(
         trials=trials,
         hr_failures=hr_failures,

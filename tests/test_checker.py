@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrcolor import checker
 from hrcolor.checker import (
     CheckReport,
     check_highly,
@@ -13,6 +14,7 @@ from hrcolor.checker import (
     check_resistant,
     lemma_disjunction,
     sample_check,
+    substream_seed,
 )
 from hrcolor.coloring import Multicoloring, extend_palette, extend_vertex
 from hrcolor.constructions import c7_pair, c8c8p5, clique_partition
@@ -25,7 +27,14 @@ from hrcolor.graph import (
     induced_subgraph,
 )
 
-from oracles import naive_check_hr, naive_check_resistant, random_color_sets, random_edges
+from oracles import (
+    _attacked,
+    naive_check_hr,
+    naive_check_resistant,
+    naive_components,
+    random_color_sets,
+    random_edges,
+)
 
 
 def k2_two_colors():
@@ -42,6 +51,52 @@ REPEATING_MASK_CASES = (
     (clique_partition(3), (1, 2, 3, 4)),
     (c7_pair(), (2, 3, 4)),
 )
+
+
+def sparse_random_instances():
+    """Random sparse instances: n = 20..30, 3n/2 edges (mean degree 3) and
+    nonempty subsets of 3 colors. Almost every removed mask is distinct,
+    so resistance verdicts come from the fill and the last full-color part."""
+    rng = random.Random(53)
+    cases = []
+    for n in (20, 23, 26, 30):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(rng.sample(pairs, 3 * n // 2))
+        kappa = Multicoloring(3, [rng.randrange(1, 8) for _ in range(n)])
+        cases.append((Graph(n, edges), kappa))
+    return cases
+
+
+def naive_attack_defeats(n, edges, k, colors, attack):
+    """True when no component left by the attack holds every color."""
+    survivors, sub_edges = _attacked(n, edges, attack)
+    palette = set(range(1, k + 1))
+    return all(
+        set().union(*(colors[v] for v in comp)) != palette
+        for comp in naive_components(survivors, sub_edges)
+    )
+
+
+def assert_report_matches_naive(g, kappa, a, threads=1):
+    """check_highly's verdicts, witnesses and examined count against the
+    naive reference."""
+    n, edges = g.n, list(g.edges())
+    k = kappa.palette_size
+    colors = [set(kappa.colors_of(v)) for v in range(n)]
+    hr_ok, hr_wit = naive_check_hr(n, edges, k, colors, a)
+    res_ok, res_wit = naive_check_resistant(n, edges, k, colors, a)
+    if hr_wit is not None and res_wit is not None:
+        ranks = list(combinations(range(n), a))
+        examined = max(ranks.index(hr_wit), ranks.index(res_wit)) + 1
+    else:
+        examined = comb(n, a)
+    rep = check_highly(g, kappa, a, threads=threads)
+    assert (rep.hr_holds, rep.resistant) == (hr_ok, res_ok)
+    assert (None if rep.hr_witness is None else rep.hr_witness.vertices()) == hr_wit
+    assert (
+        None if rep.resistance_witness is None else rep.resistance_witness.vertices()
+    ) == res_wit
+    assert rep.attack_sets_examined == examined
 
 
 class TestValidation:
@@ -249,10 +304,57 @@ class TestSampleCheck:
         with pytest.raises(ValueError):
             sample_check(g, kappa, 1, trials=0, seed=0)
 
+    def test_failure_that_does_not_replay_raises(self, monkeypatch):
+        g, kappa = k2_two_colors()
+        real = checker._full_color_part
+        calls = []
+
+        def disagreeing(closed, colors, full, survivors):
+            # the single trial is judged truly (it fails); the replay of
+            # that failure then finds a full-color part
+            calls.append(survivors)
+            return real(closed, colors, full, survivors) if len(calls) == 1 else 1
+
+        monkeypatch.setattr(checker, "_full_color_part", disagreeing)
+        with pytest.raises(RuntimeError):
+            sample_check(g, kappa, 1, trials=1, seed=0)
+        assert len(calls) == 2
+
+    def test_matches_a_naive_replay_of_the_substreams(self):
+        for g, kappa in sparse_random_instances():
+            n, edges = g.n, list(g.edges())
+            colors = [set(kappa.colors_of(v)) for v in range(n)]
+            palette = set(range(1, 4))
+            for a, seed, workers in ((2, 5, 1), (3, 6, 3)):
+                trials = 400
+                hr_failures = res_failures = 0
+                first_hr = first_res = None
+                base, extra = divmod(trials, workers)
+                for w in range(workers):
+                    rng = random.Random(substream_seed(seed, w))
+                    for _ in range(base + (1 if w < extra else 0)):
+                        attack = tuple(sorted(rng.sample(range(n), a)))
+                        if set().union(*(colors[u] for u in attack)) == palette:
+                            hr_failures += 1
+                            first_hr = first_hr or attack
+                        if naive_attack_defeats(n, edges, 3, colors, attack):
+                            res_failures += 1
+                            first_res = first_res or attack
+                rep = sample_check(g, kappa, a, trials, seed, workers=workers)
+                assert (rep.hr_failures, rep.resistance_failures) == (
+                    hr_failures, res_failures
+                )
+                assert rep.first_hr_failure == (
+                    None if first_hr is None else VertexSet.from_vertices(first_hr, n)
+                )
+                assert rep.first_resistance_failure == (
+                    None if first_res is None else VertexSet.from_vertices(first_res, n)
+                )
+
 
 @st.composite
-def colored_instances(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def colored_instances(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     k = draw(st.integers(min_value=1, max_value=4))
@@ -312,24 +414,51 @@ def test_catalog_instances_agree_with_the_naive_reference():
         assert naive_check_hr(n, edges, k, colors, a) == (True, None)
         assert naive_check_resistant(n, edges, k, colors, a) == (True, None)
     for inst, sizes in REPEATING_MASK_CASES:
-        n, edges = inst.graph.n, list(inst.graph.edges())
-        k = inst.coloring.palette_size
-        colors = [set(inst.coloring.colors_of(v)) for v in range(n)]
         for a in sizes:
-            hr_ok, hr_wit = naive_check_hr(n, edges, k, colors, a)
-            res_ok, res_wit = naive_check_resistant(n, edges, k, colors, a)
-            if hr_wit is not None and res_wit is not None:
-                ranks = list(combinations(range(n), a))
-                examined = max(ranks.index(hr_wit), ranks.index(res_wit)) + 1
-            else:
-                examined = comb(n, a)
-            rep = check_highly(inst.graph, inst.coloring, a)
-            assert (rep.hr_holds, rep.resistant) == (hr_ok, res_ok)
-            assert (None if rep.hr_witness is None else rep.hr_witness.vertices()) == hr_wit
-            assert (
-                None if rep.resistance_witness is None else rep.resistance_witness.vertices()
-            ) == res_wit
-            assert rep.attack_sets_examined == examined
+            assert_report_matches_naive(inst.graph, inst.coloring, a)
+
+
+def test_sparse_random_instances_agree_with_the_naive_reference():
+    for g, kappa in sparse_random_instances():
+        for a in (2, 3):
+            for threads in (1, 3):
+                assert_report_matches_naive(g, kappa, a, threads)
+
+
+def _union(masks, vertices):
+    cu = 0
+    for v in vertices:
+        cu |= masks[v]
+    return cu
+
+
+@st.composite
+def survivor_cases(draw):
+    n, edges, k, masks, _ = draw(colored_instances(max_n=12))
+    survivors = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return n, edges, k, masks, survivors
+
+
+@given(survivor_cases())
+@settings(max_examples=300)
+def test_full_color_part_is_a_connected_full_color_set_of_survivors(case):
+    n, edges, k, masks, survivors = case
+    g = Graph(n, edges)
+    full = (1 << k) - 1
+    part = checker._full_color_part(g.closed_masks, tuple(masks), full, survivors)
+
+    alive = [v for v in range(n) if survivors >> v & 1]
+    alive_edges = [(u, v) for u, v in edges if survivors >> u & 1 and survivors >> v & 1]
+    expected = any(
+        _union(masks, comp) == full for comp in naive_components(alive, alive_edges)
+    )
+    assert (part != 0) == expected
+    if part:
+        assert part & ~survivors == 0
+        inside = [v for v in range(n) if part >> v & 1]
+        inside_edges = [(u, v) for u, v in edges if part >> u & 1 and part >> v & 1]
+        assert len(naive_components(inside, inside_edges)) == 1
+        assert _union(masks, inside) == full
 
 
 def test_downward_monotone_in_attack_size():

@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -243,3 +245,21 @@ class TestExitCodeContract:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_repeated_calls_write_to_the_streams_of_each_call(self, capsys, k2_instance):
+        check = ["check", "--instance", k2_instance, "--format", "json", "--threads", "1"]
+        for _ in range(2):
+            for argv, code in ((["check", "--no-such-flag"], 2), (["--help"], 0), (check, 1)):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    assert main(argv) == code
+                if code == 2:
+                    assert out.getvalue() == ""
+                    assert "unrecognized arguments: --no-such-flag" in err.getvalue()
+                elif code == 0:
+                    assert out.getvalue().startswith("usage: hrcolor")
+                    assert err.getvalue() == ""
+                else:
+                    assert json.loads(out.getvalue())["resistance_witness"] == [0]
+                    assert err.getvalue() == ""
+        assert capsys.readouterr() == ("", "")
