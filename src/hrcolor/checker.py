@@ -17,16 +17,18 @@ flooded. An attack whose removed mask misses the last part returned leaves
 that part whole and passes with no fill; otherwise a per-scan memo of
 removed masks known to leave a full-color component skips repeated fills.
 Sampling reuses the last part the same way. Each attack gets the same
-verdict as from a full flood fill, so witnesses, examined counts, sampled
-counts and the thread pool's contiguous rank partition are those of a
-plain scan.
+verdict as from a full flood fill, so witnesses, examined counts and
+sampled counts are those of a plain scan.
+
+Scans are sequential: under CPython's GIL a thread pool gains no speed,
+and each worker would start with an empty memo. The `threads` keyword of
+the check functions is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -69,9 +71,9 @@ class CheckReport:
 class SampleReport:
     """Outcome of a seeded random sample of attack sets.
 
-    Replaying with the same seed, trial count, and worker policy reproduces
-    the report exactly; reported first failures are re-verified genuine
-    counterexamples.
+    Replaying with the same seed, trial count, and substream count
+    (`workers`) reproduces the report exactly; reported first failures are
+    re-verified genuine counterexamples.
     """
 
     trials: int
@@ -142,52 +144,42 @@ def _full_color_part(
     return 0
 
 
-def _scan_range(
-    closed: tuple[int, ...],
-    colors: tuple[int, ...],
-    full: int,
-    all_mask: int,
-    n: int,
-    a: int,
-    start: int,
-    stop: int,
-    want_hr: bool,
-    want_res: bool,
+def _scan(
+    g: Graph, kappa: Multicoloring, a: int, want_hr: bool, want_res: bool
 ) -> tuple[_Found | None, _Found | None]:
-    """Scan attack sets with ranks in [start, stop) and return the first
-    hold-condition failure and the first resistance failure in that range.
+    """Scan all C(n, a) attack sets in rank order and return the first
+    hold-condition failure and the first resistance failure.
 
-    Prefix blocks (see the module docstring) wholly outside the range are
-    skipped and the two end blocks clipped. An attack passes resistance
-    without a fill when its removed mask misses `part`, the last full-color
-    part a fill returned (-1 forces the first fill), or is in `passing`,
-    the removed masks known to leave a full-color component; a failing mask
-    needs no entry, since the first failure settles resistance. Stops early
-    once every wanted failure kind has been seen.
+    An attack passes resistance without a fill when its removed mask misses
+    `part`, the last full-color part a fill returned (-1 forces the first
+    fill), or is in `passing`, the removed masks known to leave a full-color
+    component; a failing mask needs no entry, since the first failure
+    settles resistance. Stops early once every wanted failure kind has been
+    seen.
     """
+    n = g.n
+    closed = g.closed_masks
+    colors = kappa.masks
+    full = (1 << kappa.palette_size) - 1
+    all_mask = g.full_mask
     hr_first: _Found | None = None
     res_first: _Found | None = None
     need_hr = want_hr
     need_res = want_res
     passing: set[int] = set()
     part = -1
-    end = 0  # rank one past the current block
+    begin = 0  # rank of the first set extending the current prefix
     # a prefix ending in n-1 has no larger last vertex
     for prefix in combinations(range(n - 1), a - 1):
         lo = prefix[-1] + 1 if prefix else 0
-        begin, end = end, end + n - lo
-        if end <= start:
-            continue
-        if begin >= stop:
-            break
+        base = begin - lo  # rank of the set ending in v is base + v
+        begin += n - lo
         prefix_rm = 0
         prefix_cm = 0
         for u in prefix:
             prefix_rm |= closed[u]
             prefix_cm |= colors[u]
-        base = begin - lo  # rank of the set ending in v is base + v
-        first = lo if begin >= start else start - base
-        for v in range(first, n if end <= stop else stop - base):
+        for v in range(lo, n):
             if need_hr and prefix_cm | colors[v] == full:
                 hr_first = (base + v, (*prefix, v))
                 need_hr = False
@@ -208,58 +200,17 @@ def _scan_range(
     return hr_first, res_first
 
 
-def _scan_attacks(
-    g: Graph,
-    kappa: Multicoloring,
-    a: int,
-    threads: int,
-    want_hr: bool,
-    want_res: bool,
-) -> tuple[_Found | None, _Found | None, int]:
-    """Enumerate all C(n, a) attack sets, optionally split over a thread pool.
-
-    The split is a fixed contiguous partition by rank and results are
-    min-reduced, so verdicts and witnesses do not depend on the thread count.
-    """
-    n = g.n
-    closed = g.closed_masks
-    colors = kappa.masks
-    full = (1 << kappa.palette_size) - 1
-    all_mask = g.full_mask
-    total = comb(n, a)
-    threads = max(1, min(threads, total))
-    if threads == 1:
-        hr_first, res_first = _scan_range(
-            closed, colors, full, all_mask, n, a, 0, total, want_hr, want_res
-        )
-        return hr_first, res_first, total
-
-    bounds = [total * i // threads for i in range(threads + 1)]
-
-    def run(i: int) -> tuple[_Found | None, _Found | None]:
-        return _scan_range(
-            closed, colors, full, all_mask, n, a,
-            bounds[i], bounds[i + 1], want_hr, want_res,
-        )
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, range(threads)))
-    hr_hits = [p[0] for p in parts if p[0] is not None]
-    res_hits = [p[1] for p in parts if p[1] is not None]
-    hr_first = min(hr_hits, key=lambda t: t[0]) if hr_hits else None
-    res_first = min(res_hits, key=lambda t: t[0]) if res_hits else None
-    return hr_first, res_first, total
-
-
 def check_hr(
     g: Graph, kappa: Multicoloring, a: int, *, threads: int = 1
 ) -> tuple[bool, VertexSet | None]:
     """Check that no set of exactly `a` vertices holds every palette color.
 
     Returns (True, None) on success, else (False, smallest covering set).
+    `threads` selects nothing, since the scan is sequential; it stays for
+    callers that pass it, such as the bench tracer's `split_fused`.
     """
     _validate(g, kappa, a)
-    hr_first, _, _ = _scan_attacks(g, kappa, a, threads, True, False)
+    hr_first, _ = _scan(g, kappa, a, True, False)
     if hr_first is None:
         return True, None
     return False, VertexSet.from_vertices(hr_first[1], g.n)
@@ -271,9 +222,10 @@ def check_resistant(
     """Check that every attack of `a` vertices leaves a full-color component.
 
     Returns (True, None) on success, else (False, smallest failing attack).
+    `threads` is ignored, as in `check_hr`.
     """
     _validate(g, kappa, a)
-    _, res_first, _ = _scan_attacks(g, kappa, a, threads, False, True)
+    _, res_first = _scan(g, kappa, a, False, True)
     if res_first is None:
         return True, None
     return False, VertexSet.from_vertices(res_first[1], g.n)
@@ -282,13 +234,16 @@ def check_resistant(
 def check_highly(
     g: Graph, kappa: Multicoloring, a: int, *, threads: int = 1
 ) -> CheckReport:
-    """Run both conditions over one enumeration pass and report witnesses."""
+    """Run both conditions over one enumeration pass and report witnesses.
+
+    `threads` is ignored, as in `check_hr`.
+    """
     _validate(g, kappa, a)
-    hr_first, res_first, total = _scan_attacks(g, kappa, a, threads, True, True)
+    hr_first, res_first = _scan(g, kappa, a, True, True)
     if hr_first is not None and res_first is not None:
         examined = max(hr_first[0], res_first[0]) + 1
     else:
-        examined = total
+        examined = comb(g.n, a)
     return CheckReport(
         hr_holds=hr_first is None,
         hr_witness=None if hr_first is None else VertexSet.from_vertices(hr_first[1], g.n),
@@ -356,7 +311,7 @@ def sample_check(
     res_failures = 0
     first_hr: tuple[int, ...] | None = None
     first_res: tuple[int, ...] | None = None
-    part = -1  # as in _scan_range
+    part = -1  # as in _scan
     population = range(n)
     for w in range(workers):
         count = base + (1 if w < extra else 0)

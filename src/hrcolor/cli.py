@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -29,21 +28,6 @@ EXIT_UNKNOWN = 3
 DEFAULT_BUDGET = 10**6
 DEFAULT_TRIALS = 10**4
 DEFAULT_SEED = 0
-THREADS_ENV = "HRCOLOR_THREADS"
-
-
-def default_threads() -> int:
-    """Thread count: the HRCOLOR_THREADS variable when set, else all cores."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV} must be positive, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 def _vs_json(vs: VertexSet | None) -> list[int] | None:
@@ -144,15 +128,7 @@ def _read(path: str) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
-    if threads < 1:
-        raise ValueError("--threads must be positive")
-    return threads
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(args)
     if args.instance is not None:
         inst = codec.decode_instance(_read(args.instance))
         g, kappa, name = inst.graph, inst.coloring, inst.name
@@ -164,7 +140,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if a is None:
         raise ValueError("no attack size: pass -a or use an instance that records one")
     if args.sample is not None:
-        rep = sample_check(g, kappa, a, args.sample, args.seed, workers=threads)
+        rep = sample_check(g, kappa, a, args.sample, args.seed, workers=args.threads)
         sys.stdout.write(
             render_sample_report(
                 rep, a=a, n=g.n, k=kappa.palette_size, name=name, fmt=args.format
@@ -172,11 +148,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         failed = rep.hr_failures or rep.resistance_failures
         return EXIT_FAIL if failed else EXIT_PASS
-    rep = check_highly(g, kappa, a, threads=threads)
+    rep = check_highly(g, kappa, a)
     sys.stdout.write(
         render_check_report(
             rep, a=a, n=g.n, k=kappa.palette_size, name=name,
-            threads=threads, fmt=args.format,
+            threads=args.threads, fmt=args.format,
         )
     )
     return EXIT_PASS if rep.highly_resistant else EXIT_FAIL
@@ -362,11 +338,10 @@ def _format_row_range(row: search.KEntry) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(args)
     rows = search.k_table(args.max_a)
     certified: list[dict[str, Any]] = []
     for row in rows:
-        ok = search.certify_table_row(row, threads=threads)
+        ok = search.certify_table_row(row)
         if not ok:
             raise ValueError(
                 f"re-certification failed for row a={row.attackers} "
@@ -405,6 +380,16 @@ def cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrcolor",
@@ -416,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("human", "json"), default="human",
                        help="output format (default: human)")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or all cores)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="sampling substream count for check --sample; "
+                       "scans are sequential (default: 1)")
 
     p_check = sub.add_parser("check", help="verify an instance exhaustively or by sampling")
     p_check.add_argument("--instance", help="instance document path")

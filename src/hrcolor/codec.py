@@ -27,6 +27,11 @@ HEADER = "# instance document: vertices are 0-based, colors are 1-based"
 #: refused up front (code "too-large"); every catalog instance has n <= 21.
 MAX_VERTICES = 4096
 
+#: Largest palette a document may declare. A coloring holds its palette as
+#: a bit mask of k bits, so a larger k is refused before any coloring is
+#: built (code "too-large"); every catalog instance has k <= 10.
+MAX_COLORS = 4096
+
 
 class CodecError(ValueError):
     """Parse or validation failure with a stable machine-readable code."""
@@ -80,6 +85,25 @@ def _require_vertex_count(n: int) -> None:
         )
 
 
+def _require_palette(value: Any) -> int:
+    k = _require_int(value, "k")
+    if k < 1:
+        raise CodecError("schema", "field 'k' must be at least 1")
+    if k > MAX_COLORS:
+        raise CodecError("too-large", f"k = {k} exceeds the limit of {MAX_COLORS} colors")
+    return k
+
+
+def _load_json(text: str) -> Any:
+    """Parse a JSON document after dropping its comment lines. Every parse
+    failure, including nesting too deep for the parser and integer literals
+    too long to convert, is a "syntax" error."""
+    try:
+        return json.loads(_strip_comments(text))
+    except (ValueError, RecursionError) as exc:
+        raise CodecError("syntax", f"invalid document: {exc}") from None
+
+
 def _color_lists(raw_colors: list, k: int) -> list[list[int]]:
     """Validate per-vertex color lists: 1-based colors within 1..k, sorted
     ascending without duplicates."""
@@ -112,10 +136,7 @@ def decode_instance(text: str) -> ColoredInstance:
     index-range, self-loop, duplicate-edge, color-range, color-order,
     length-mismatch.
     """
-    try:
-        obj = json.loads(_strip_comments(text))
-    except json.JSONDecodeError as exc:
-        raise CodecError("syntax", f"invalid document: {exc}") from None
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise CodecError("schema", "document must be a JSON object")
     unknown = set(obj) - _KNOWN_KEYS
@@ -132,9 +153,7 @@ def decode_instance(text: str) -> ColoredInstance:
     if n < 0:
         raise CodecError("schema", "field 'n' must be non-negative")
     _require_vertex_count(n)
-    k = _require_int(obj["k"], "k")
-    if k < 1:
-        raise CodecError("schema", "field 'k' must be at least 1")
+    k = _require_palette(obj["k"])
     attackers = obj.get("attackers")
     if attackers is not None:
         attackers = _require_int(attackers, "attackers")
@@ -231,12 +250,10 @@ def decode_coloring(text: str) -> Multicoloring:
     """Parse a coloring file: a JSON object {"k": int, "colors": [[...], ...]}.
 
     Colors are 1-based, sorted ascending per vertex, validated as in
-    instance documents.
+    instance documents. Raises CodecError with one of the codes: syntax,
+    schema, too-large, color-range, color-order.
     """
-    try:
-        obj = json.loads(_strip_comments(text))
-    except json.JSONDecodeError as exc:
-        raise CodecError("syntax", f"invalid document: {exc}") from None
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise CodecError("schema", "document must be a JSON object")
     unknown = set(obj) - {"k", "colors"}
@@ -244,9 +261,7 @@ def decode_coloring(text: str) -> Multicoloring:
         raise CodecError("schema", f"unknown field(s): {', '.join(sorted(unknown))}")
     if "k" not in obj or "colors" not in obj:
         raise CodecError("schema", "coloring needs fields 'k' and 'colors'")
-    k = _require_int(obj["k"], "k")
-    if k < 1:
-        raise CodecError("schema", "field 'k' must be at least 1")
+    k = _require_palette(obj["k"])
     raw_colors = obj["colors"]
     if not isinstance(raw_colors, list):
         raise CodecError("schema", "field 'colors' must be a list of color lists")

@@ -332,8 +332,7 @@ def k_lookup(a: int, n: int, max_a: int = 4) -> KEntry | None:
     return None
 
 
-def certify_table_row(row: KEntry, *, threads: int = 1, k_max: int = 4,
-                      budget: int = 10**6) -> bool:
+def certify_table_row(row: KEntry, *, k_max: int = 4, budget: int = 10**6) -> bool:
     """Re-run the artifact-backed evidence for a table row.
 
     Construction rows re-check their instance exhaustively; the a=1
@@ -342,7 +341,7 @@ def certify_table_row(row: KEntry, *, threads: int = 1, k_max: int = 4,
     """
     if row.instance_name is not None:
         inst = constructions.instance(row.instance_name)
-        rep = check_highly(inst.graph, inst.coloring, inst.attackers, threads=threads)
+        rep = check_highly(inst.graph, inst.coloring, inst.attackers)
         if not rep.highly_resistant:
             return False
         if row.value is not None and inst.palette_size != row.value:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from hrcolor.checker import check_highly
 from hrcolor.cli import main
 from hrcolor.codec import decode_instance, encode_instance
-from hrcolor.constructions import c8c8p5
+from hrcolor.constructions import c7_pair, c8c8p5
 
 
 def run(capsys, *argv):
@@ -114,6 +115,30 @@ class TestCheck:
         assert rc1 == rc2 == 1
         assert out1 == out2
         assert "resistance failures: 10" in out1
+
+    def test_sampling_default_does_not_depend_on_the_host(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("HRCOLOR_THREADS", "3")
+        p = tmp_path / "p14.json"
+        p.write_text(encode_instance(c7_pair()), encoding="utf-8")
+        argv = [
+            "check", "--instance", str(p), "-a", "4",
+            "--sample", "200", "--seed", "1", "--format", "json",
+        ]
+        default = run(capsys, *argv)
+        assert default == run(capsys, *argv, "--threads", "1")
+        assert json.loads(default[1])["workers"] == 1
+
+    def test_threads_must_be_positive_on_every_subcommand(self, capsys, k2_instance):
+        for argv in (
+            ["check", "--instance", k2_instance],
+            ["construct", "--family", "paper-14"],
+            ["table", "--max-a", "1"],
+        ):
+            for bad in ("0", "-1", "x"):
+                rc, out, err = run(capsys, *argv, "--threads", bad)
+                assert rc == 2 and out == ""
+                assert "--threads" in err
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "check", "--instance", "/nonexistent.json", "-a", "1")

@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrcolor.checker import check_highly
 from hrcolor.codec import (
+    MAX_COLORS,
     MAX_VERTICES,
     CodecError,
     decode_coloring,
@@ -158,6 +162,56 @@ class TestDecodeColoring:
         with pytest.raises(CodecError) as exc:
             decode_coloring('{"k": 2, "colors": [[3]]}')
         assert exc.value.code == "color-range"
+
+    def test_palette_cap_is_checked_before_building(self):
+        for decode, text in (
+            (decode_coloring, HUGE_PALETTE),
+            (decode_instance, '{"n": 1, "edges": [], "k": 1000000000000000, "colors": [[]]}'),
+            (decode_coloring, f'{{"k": {MAX_COLORS + 1}, "colors": []}}'),
+        ):
+            with pytest.raises(CodecError) as exc:
+                decode(text)
+            assert exc.value.code == "too-large"
+        kappa = decode_coloring(f'{{"k": {MAX_COLORS}, "colors": [[{MAX_COLORS}]]}}')
+        assert kappa.palette_size == MAX_COLORS
+
+
+DEEP_NESTING = "[" * 100_000
+LONG_INTEGER = "9" * 5_000
+HUGE_PALETTE = '{"k": 1000000000000000, "colors": [[]]}'
+
+
+@pytest.mark.parametrize("text", [DEEP_NESTING, LONG_INTEGER, '{"k": ' + LONG_INTEGER + "}"])
+@pytest.mark.parametrize("decode", [decode_instance, decode_coloring])
+def test_unparsable_json_is_a_syntax_error(decode, text):
+    with pytest.raises(CodecError) as exc:
+        decode(text)
+    assert exc.value.code == "syntax"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["name", "n", "edges", "k", "attackers", "colors", "x"]),
+        inner,
+        max_size=6,
+    ),
+    max_leaves=20,
+)
+
+
+@given(st.text() | json_values.map(json.dumps))
+@example(DEEP_NESTING)
+@example(LONG_INTEGER)
+@example(HUGE_PALETTE)
+@settings(max_examples=300, deadline=None)
+def test_decoders_either_decode_or_raise_codec_error(text):
+    for decode in (decode_instance, decode_edge_list, decode_coloring):
+        try:
+            decode(text)
+        except CodecError:
+            pass
 
 
 def random_instance(rng, max_n=12, max_k=10):
