@@ -6,7 +6,8 @@ Two formats are supported, both UTF-8 with LF line endings:
   name, n, edges, k, attackers, colors, preceded by a `#` header comment
   line stating the numbering conventions (vertices 0-based on the wire,
   colors 1-based);
-* bare edge lists: a first line "n m" followed by m lines "u v".
+* bare edge lists: a first line "n m" followed by m lines "u v", each
+  number written in ASCII digits with an optional leading minus sign.
 
 Encoding is canonical: the same value always produces the same bytes.
 """
@@ -14,6 +15,7 @@ Encoding is canonical: the same value always produces the same bytes.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .coloring import Multicoloring
@@ -126,6 +128,33 @@ def _color_lists(raw_colors: list, k: int) -> list[list[int]]:
     return sets
 
 
+def _check_edge(u: int, v: int, n: int, nbrs: list[int], at: str) -> None:
+    """Validate edge {u, v} against the vertex count and the edges before it,
+    which `nbrs` holds as per-vertex neighbor masks, then record it there.
+    `at` names the edge's place in the document ("edge #i" or "line i")."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise CodecError("index-range", f"{at}: [{u}, {v}] out of range 0..{n - 1}")
+    if u == v:
+        raise CodecError("self-loop", f"{at}: self-loop at {u}")
+    if nbrs[u] >> v & 1:
+        raise CodecError("duplicate-edge", f"{at}: [{u}, {v}] repeats")
+    nbrs[u] |= 1 << v
+    nbrs[v] |= 1 << u
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integers(tokens: list[str], message: str) -> list[int]:
+    """Parse edge-list tokens: ASCII digits with an optional leading minus."""
+    try:
+        if all(_INTEGER.fullmatch(t) for t in tokens):
+            return [int(t) for t in tokens]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise CodecError("syntax", message)
+
+
 _KNOWN_KEYS = {"name", "n", "edges", "k", "attackers", "colors"}
 
 
@@ -164,22 +193,13 @@ def decode_instance(text: str) -> ColoredInstance:
     if not isinstance(raw_edges, list):
         raise CodecError("schema", "field 'edges' must be a list of [u, v] pairs")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    nbrs = [0] * n
     for pos, e in enumerate(raw_edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise CodecError("schema", f"edge #{pos} must be a [u, v] pair")
         u = _require_int(e[0], f"edges[{pos}][0]")
         v = _require_int(e[1], f"edges[{pos}][1]")
-        if not (0 <= u < n and 0 <= v < n):
-            raise CodecError(
-                "index-range", f"edge #{pos} = [{u}, {v}] out of range 0..{n - 1}"
-            )
-        if u == v:
-            raise CodecError("self-loop", f"edge #{pos} is a self-loop at {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise CodecError("duplicate-edge", f"edge #{pos} = [{u}, {v}] repeats")
-        seen.add(key)
+        _check_edge(u, v, n, nbrs, f"edge #{pos}")
         edges.append((u, v))
 
     raw_colors = obj["colors"]
@@ -211,10 +231,7 @@ def decode_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise CodecError("syntax", "first line must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise CodecError("syntax", "first line must hold two integers") from None
+    n, m = _integers(head, "first line must hold two integers")
     if n < 0 or m < 0:
         raise CodecError("schema", "counts must be non-negative")
     _require_vertex_count(n)
@@ -223,25 +240,13 @@ def decode_edge_list(text: str) -> Graph:
             "syntax", f"expected {m} edge lines, found {len(lines) - 1}"
         )
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    nbrs = [0] * n
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2:
             raise CodecError("syntax", f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CodecError("syntax", f"line {lineno}: expected two integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise CodecError(
-                "index-range", f"line {lineno}: vertex out of range 0..{n - 1}"
-            )
-        if u == v:
-            raise CodecError("self-loop", f"line {lineno}: self-loop at {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise CodecError("duplicate-edge", f"line {lineno}: edge repeats")
-        seen.add(key)
+        u, v = _integers(parts, f"line {lineno}: expected two integers")
+        _check_edge(u, v, n, nbrs, f"line {lineno}")
         edges.append((u, v))
     return Graph(n, edges)
 

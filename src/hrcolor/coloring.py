@@ -214,22 +214,31 @@ def classes(kappa: Multicoloring) -> ColorClasses:
 
 def from_classes(cc: ColorClasses) -> Multicoloring:
     """Rebuild the per-vertex view from color classes."""
-    masks = [0] * cc.num_vertices
-    for i, class_mask in enumerate(cc.class_masks):
+    return from_class_masks(cc.num_vertices, cc.palette_size, cc.class_masks)
+
+
+def from_class_masks(
+    num_vertices: int, palette_size: int, class_masks: Iterable[int]
+) -> Multicoloring:
+    """The coloring that puts color i+1 on the vertices of class_masks[i];
+    the search builds its leaf colorings here without a `ColorClasses`."""
+    masks = [0] * num_vertices
+    for i, class_mask in enumerate(class_masks):
         bit = 1 << i
         m = class_mask
         while m:
             b = m & -m
             masks[b.bit_length() - 1] |= bit
             m ^= b
-    return Multicoloring(cc.palette_size, masks)
+    return Multicoloring(palette_size, masks)
 
 
 def canonical_form(kappa: Multicoloring) -> tuple[VertexSet, ...]:
     """Color classes sorted by mask value.
 
     Colorings that differ only by a permutation of color names share one
-    canonical form, so this is the symmetry-broken key used by the search.
+    canonical form, so two colorings are equal up to color renaming exactly
+    when their canonical forms are equal.
     """
     cc = classes(kappa)
     n = cc.num_vertices

@@ -2,12 +2,25 @@
 
 Vertices are 0-based indices. Vertex subsets are stored as integer bit
 masks, so set algebra is exact and not capped at machine word size.
+
+A `Graph` stores one thing per vertex: its closed neighborhood N[u] as a
+bit mask, the form every attack reads (an attack by A removes N[A]). The
+edge list, neighbor tuples and degrees are derived from these masks on
+request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a non-negative mask, in ascending order."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -38,11 +51,7 @@ class VertexSet:
         return tuple(self)
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
+        return _bits(self.mask)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.capacity and bool(self.mask >> v & 1)
@@ -116,33 +125,22 @@ class Graph:
     Self-loops and repeated edges are rejected at construction time.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_closed")
+    __slots__ = ("n", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        closed = [1 << u for u in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            adj[u].add(v)
-            adj[v].add(u)
+            if closed[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
         self.n = n
-        self._edges = tuple(sorted(seen))
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        closed = []
-        for u in range(n):
-            m = 1 << u
-            for w in adj[u]:
-                m |= 1 << w
-            closed.append(m)
         self._closed = tuple(closed)
 
     @property
@@ -151,18 +149,20 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (u, v) pairs with u < v, sorted."""
-        return self._edges
+        return tuple(
+            (u, v) for u, m in enumerate(self._closed) for v in _bits(m & (-2 << u))
+        )
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return (sum(m.bit_count() for m in self._closed) - self.n) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         self._check_vertex(u)
-        return self._adj[u]
+        return tuple(_bits(self._closed[u] & ~(1 << u)))
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)
-        return len(self._adj[u])
+        return self._closed[u].bit_count() - 1
 
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -210,13 +210,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self._closed == other._closed
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._closed)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={list(self._edges)})"
+        return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
 def cycle(n: int) -> Graph:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from . import constructions
 from .checker import check_highly, check_hr
-from .coloring import Multicoloring
+from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks
 
 SAT = "sat"
@@ -138,20 +138,6 @@ def _attack_component_masks(g: Graph, a: int) -> list[list[int]]:
     return out
 
 
-def _coloring_from_class_masks(
-    num_vertices: int, palette_size: int, class_masks: list[int]
-) -> Multicoloring:
-    vmasks = [0] * num_vertices
-    for i, cm in enumerate(class_masks):
-        bit = 1 << i
-        m = cm
-        while m:
-            b = m & -m
-            vmasks[b.bit_length() - 1] |= bit
-            m ^= b
-    return Multicoloring(palette_size, vmasks)
-
-
 def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     """Decide whether g admits a highly a-resistant k-multicoloring.
 
@@ -206,7 +192,7 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
                 # viability already forces a full-color component for every
                 # attack, so only the hold condition remains open; the full
                 # checker confirms the one candidate that survives it
-                kappa = _coloring_from_class_masks(g.n, k, stack)
+                kappa = from_class_masks(g.n, k, stack)
                 if check_hr(g, kappa, a)[0] and check_highly(g, kappa, a).highly_resistant:
                     found = kappa
                     stack.pop()

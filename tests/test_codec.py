@@ -153,6 +153,34 @@ class TestDecodeEdgeList:
         assert decode_edge_list(f"{MAX_VERTICES} 0") == Graph(MAX_VERTICES)
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("1_0 1\n0 9", "syntax"),
+        ("+3 0", "syntax"),
+        ("\u0663 0", "syntax"),
+        ("3 1\n0 +2", "syntax"),
+        ("-1 0", "schema"),
+        ("2 1\n0 -1", "index-range"),
+    ],
+)
+def test_edge_list_numbers_are_ascii_digits(text, code):
+    with pytest.raises(CodecError) as exc:
+        decode_edge_list(text)
+    assert exc.value.code == code
+
+
+def test_first_edge_fault_in_document_order_is_reported():
+    with pytest.raises(CodecError) as exc:
+        decode_edge_list("3 3\n0 1\n2 2\n1 0")
+    assert exc.value.code == "self-loop" and "line 3" in str(exc.value)
+    with pytest.raises(CodecError) as exc:
+        decode_instance(
+            '{"n": 3, "edges": [[0, 1], [1, 0], [2, 2]], "k": 1, "colors": [[], [], []]}'
+        )
+    assert exc.value.code == "duplicate-edge" and "edge #1" in str(exc.value)
+
+
 class TestDecodeColoring:
     def test_basic(self):
         kappa = decode_coloring('{"k": 2, "colors": [[1], [2], [1], [2]]}')

@@ -244,3 +244,54 @@ def test_components_match_naive_flood_fill():
         sub_edges = [e for e in edges if e[0] not in removed_set and e[1] not in removed_set]
         expected = naive_components(survivors, sub_edges)
         assert [set(c) for c in got] == expected
+
+
+@st.composite
+def listed_edges(draw, max_n=9):
+    """A random simple graph as (n, its edge set as u < v pairs, two listings
+    of those edges, each shuffled with every pair randomly reversed)."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+
+    def listing():
+        flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        oriented = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+        return draw(st.permutations(oriented))
+
+    return n, set(chosen), listing(), listing()
+
+
+@given(listed_edges())
+@settings(max_examples=200)
+def test_derived_views_match_a_set_model(case):
+    n, model, first, second = case
+    g = Graph(n, first)
+    nbrs = {u: {v for e in model if u in e for v in e if v != u} for u in range(n)}
+    assert g.edges() == tuple(sorted(model))
+    assert g.num_edges() == len(model)
+    for u in range(n):
+        assert g.neighbors(u) == tuple(sorted(nbrs[u]))
+        assert g.degree(u) == len(nbrs[u])
+        assert g.closed_masks[u] == sum(1 << v for v in nbrs[u] | {u})
+        for v in range(n):
+            assert g.adjacent(u, v) == ((min(u, v), max(u, v)) in model)
+    h = Graph(n, second)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert g != Graph(n + 1, first)
+
+
+@given(listed_edges(), st.data())
+def test_bad_pairs_are_rejected_anywhere_in_the_list(case, data):
+    n, model, first, _ = case
+    bad = [(-1, 0), (n, 0), (0, n)]
+    if n:
+        u = data.draw(st.integers(min_value=0, max_value=n - 1))
+        bad.append((u, u))
+    if first:
+        u, v = data.draw(st.sampled_from(first))
+        bad.append((v, u))
+    pair = data.draw(st.sampled_from(bad))
+    at = data.draw(st.integers(min_value=0, max_value=len(first)))
+    with pytest.raises(ValueError):
+        Graph(n, first[:at] + [pair] + first[at:])
