@@ -313,7 +313,8 @@ def sample_check(
     first_res: tuple[int, ...] | None = None
     part = -1  # as in _scan
     population = range(n)
-    for w in range(workers):
+    # substreams at index >= trials draw nothing
+    for w in range(min(workers, trials)):
         count = base + (1 if w < extra else 0)
         sample = random.Random(substream_seed(seed, w)).sample
         for _ in range(count):

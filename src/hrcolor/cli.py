@@ -5,6 +5,10 @@ a stable contract: 0 pass/sat, 1 fail/unsat, 2 usage or parse error,
 3 unknown (budget exhausted). Documents go to stdout, diagnostics to
 stderr. Structured mode emits one JSON object; human and structured mode
 always agree on verdicts.
+
+Every report is written by `_emit` (the two `check` reports by
+`render_check_report` and `render_sample_report`), and `_EXIT` is the one
+map from a report's verdict to its exit code.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from typing import Any
 
 from . import codec, constructions, lemmas, search
 from .checker import CheckReport, SampleReport, check_highly, sample_check
-from .coloring import Multicoloring
 from .constructions import ColoredInstance
-from .graph import Graph, VertexSet
+from .graph import VertexSet
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -113,16 +116,44 @@ def render_sample_report(
     return "\n".join(lines) + "\n"
 
 
-def _witness_instance(g: Graph, kappa: Multicoloring, a: int | None, name: str) -> ColoredInstance:
-    return ColoredInstance(name=name, graph=g, coloring=kappa, attackers=a)
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+# every verdict a report can end in, and its exit code
+_EXIT = {
+    "pass": EXIT_PASS,
+    "fail": EXIT_FAIL,
+    search.SAT: EXIT_PASS,
+    search.UNSAT: EXIT_FAIL,
+    search.UNKNOWN: EXIT_UNKNOWN,
+    "found": EXIT_PASS,
+    "none": EXIT_FAIL,
+    "found-sat": EXIT_PASS,
+    "all-unsat": EXIT_FAIL,
+}
+
+
+def _emit(fmt: str, obj: dict[str, Any], human: str, verdict: str,
+          witness: ColoredInstance | None = None) -> int:
+    """Write one report in `fmt` and return the exit code of its verdict.
+
+    JSON mode writes `obj`, with the witness document under its `witness`
+    key; human mode writes `human`, then the witness document.
+    """
+    if fmt == "json":
+        if witness is not None:
+            obj["witness"] = codec.instance_object(witness)
+        sys.stdout.write(json.dumps(obj) + "\n")
+    else:
+        sys.stdout.write(human)
+        if witness is not None:
+            sys.stdout.write(codec.encode_instance(witness))
+    return _EXIT[verdict]
 
 
 # ---------------------------------------------------------------- commands
@@ -133,88 +164,66 @@ def cmd_check(args: argparse.Namespace) -> int:
         inst = codec.decode_instance(_read(args.instance))
         g, kappa, name = inst.graph, inst.coloring, inst.name
         a = args.attackers if args.attackers is not None else inst.attackers
-    else:
+    elif args.graph is not None and args.coloring is not None:
         g = codec.decode_edge_list(_read(args.graph))
         kappa = codec.decode_coloring(_read(args.coloring))
         name, a = None, args.attackers
+    else:
+        raise ValueError("check needs --instance, or --graph with --coloring")
     if a is None:
         raise ValueError("no attack size: pass -a or use an instance that records one")
+    k = kappa.palette_size
     if args.sample is not None:
         rep = sample_check(g, kappa, a, args.sample, args.seed, workers=args.threads)
-        sys.stdout.write(
-            render_sample_report(
-                rep, a=a, n=g.n, k=kappa.palette_size, name=name, fmt=args.format
-            )
-        )
-        failed = rep.hr_failures or rep.resistance_failures
-        return EXIT_FAIL if failed else EXIT_PASS
+        sys.stdout.write(render_sample_report(rep, a=a, n=g.n, k=k, name=name, fmt=args.format))
+        return _EXIT["fail" if rep.hr_failures or rep.resistance_failures else "pass"]
     rep = check_highly(g, kappa, a)
-    sys.stdout.write(
-        render_check_report(
-            rep, a=a, n=g.n, k=kappa.palette_size, name=name,
-            threads=args.threads, fmt=args.format,
-        )
-    )
-    return EXIT_PASS if rep.highly_resistant else EXIT_FAIL
+    sys.stdout.write(render_check_report(rep, a=a, n=g.n, k=k, name=name,
+                                         threads=args.threads, fmt=args.format))
+    return _EXIT["pass" if rep.highly_resistant else "fail"]
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     inst = constructions.instance(args.family)
     sys.stdout.write(codec.encode_instance(inst))
-    return EXIT_PASS
-
-
-def _decision_json(d: search.Decision, extra: dict[str, Any]) -> dict[str, Any]:
-    obj: dict[str, Any] = {"report": "search", **extra}
-    obj["outcome"] = d.outcome
-    obj["nodes_expanded"] = d.nodes_expanded
-    obj["budget"] = d.budget
-    return obj
+    return _EXIT["pass"]
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    budget = args.budget
+    witness = None
     if args.nonexistence:
         if args.n is None:
             raise ValueError("--nonexistence needs -n")
         if args.kmax is None:
             raise ValueError("--nonexistence needs --kmax")
-        summary = search.exhaustive_nonexistence(args.n, args.attackers, args.kmax, budget)
-        witness = None
+        summary = search.exhaustive_nonexistence(args.n, args.attackers, args.kmax, args.budget)
         if summary.outcome == "found-sat":
-            witness = _witness_instance(
-                summary.sat_graph, summary.sat_witness, summary.a,
+            witness = ColoredInstance(
                 f"sat-n{summary.n}-a{summary.a}-k{summary.sat_k}",
+                summary.sat_graph, summary.sat_witness, summary.a,
             )
-        if args.format == "json":
-            obj: dict[str, Any] = {
-                "report": "nonexistence",
-                "outcome": summary.outcome,
-                "n": summary.n,
-                "attackers": summary.a,
-                "k_max": summary.k_max,
-                "budget": summary.budget,
-                "graphs_total": summary.graphs_total,
-                "graphs_examined": summary.graphs_examined,
-                "unknown_count": summary.unknown_count,
-                "nodes_expanded": summary.nodes_expanded,
-                "sat_k": summary.sat_k,
-                "witness": None if witness is None else codec.instance_object(witness),
-            }
-            sys.stdout.write(json.dumps(obj) + "\n")
-        else:
-            sys.stdout.write(
-                f"nonexistence sweep: n={summary.n} a={summary.a} "
-                f"k in [{summary.a + 1}, {summary.k_max}] budget={summary.budget}\n"
-                f"outcome: {summary.outcome} "
-                f"({summary.graphs_examined}/{summary.graphs_total} labeled graphs, "
-                f"{summary.nodes_expanded} nodes)\n"
-            )
-            if witness is not None:
-                sys.stdout.write(codec.encode_instance(witness))
-        if summary.outcome == "found-sat":
-            return EXIT_PASS
-        return EXIT_FAIL if summary.outcome == "all-unsat" else EXIT_UNKNOWN
+        obj: dict[str, Any] = {
+            "report": "nonexistence",
+            "outcome": summary.outcome,
+            "n": summary.n,
+            "attackers": summary.a,
+            "k_max": summary.k_max,
+            "budget": summary.budget,
+            "graphs_total": summary.graphs_total,
+            "graphs_examined": summary.graphs_examined,
+            "unknown_count": summary.unknown_count,
+            "nodes_expanded": summary.nodes_expanded,
+            "sat_k": summary.sat_k,
+            "witness": None,
+        }
+        human = (
+            f"nonexistence sweep: n={summary.n} a={summary.a} "
+            f"k in [{summary.a + 1}, {summary.k_max}] budget={summary.budget}\n"
+            f"outcome: {summary.outcome} "
+            f"({summary.graphs_examined}/{summary.graphs_total} labeled graphs, "
+            f"{summary.nodes_expanded} nodes)\n"
+        )
+        return _emit(args.format, obj, human, summary.outcome, witness)
 
     if args.graph is None:
         raise ValueError("search needs --graph (or --nonexistence)")
@@ -223,100 +232,82 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.min_colors:
         if args.kmax is None:
             raise ValueError("--min-colors needs --kmax")
-        result = search.min_colors(g, args.attackers, args.kmax, budget)
-        witness = None
+        result = search.min_colors(g, args.attackers, args.kmax, args.budget)
         if result.status == "found":
             sat = dict(result.trail)[result.value]
-            witness = _witness_instance(
-                g, sat.witness, args.attackers, f"min-colors-k{result.value}"
+            witness = ColoredInstance(
+                f"min-colors-k{result.value}", g, sat.witness, args.attackers
             )
-        if args.format == "json":
-            obj = {
-                "report": "min-colors",
-                "status": result.status,
-                "value": result.value,
-                "attackers": args.attackers,
-                "k_max": args.kmax,
-                "budget": budget,
-                "trail": [
-                    {"k": k, "outcome": d.outcome, "nodes_expanded": d.nodes_expanded}
-                    for k, d in result.trail
-                ],
-                "witness": None if witness is None else codec.instance_object(witness),
-            }
-            sys.stdout.write(json.dumps(obj) + "\n")
-        else:
-            if result.status == "found":
-                sys.stdout.write(f"minimum colors: {result.value}\n")
-            elif result.status == "none":
-                sys.stdout.write(
-                    f"no palette up to k_max={args.kmax} works (all unsat)\n"
-                )
-            else:
-                sys.stdout.write("undetermined: a search ran out of budget\n")
-            if witness is not None:
-                sys.stdout.write(codec.encode_instance(witness))
-        if result.status == "found":
-            return EXIT_PASS
-        return EXIT_FAIL if result.status == "none" else EXIT_UNKNOWN
+        obj = {
+            "report": "min-colors",
+            "status": result.status,
+            "value": result.value,
+            "attackers": args.attackers,
+            "k_max": args.kmax,
+            "budget": args.budget,
+            "trail": [
+                {"k": k, "outcome": d.outcome, "nodes_expanded": d.nodes_expanded}
+                for k, d in result.trail
+            ],
+            "witness": None,
+        }
+        human = {
+            "found": f"minimum colors: {result.value}\n",
+            "none": f"no palette up to k_max={args.kmax} works (all unsat)\n",
+            "unknown": "undetermined: a search ran out of budget\n",
+        }[result.status]
+        return _emit(args.format, obj, human, result.status, witness)
 
     if args.k is None:
         raise ValueError("search needs -k (or --min-colors/--nonexistence)")
-    d = search.decide(g, args.attackers, args.k, budget)
-    witness = None
+    d = search.decide(g, args.attackers, args.k, args.budget)
     if d.outcome == search.SAT:
-        witness = _witness_instance(
-            g, d.witness, args.attackers, f"sat-a{args.attackers}-k{args.k}"
+        witness = ColoredInstance(
+            f"sat-a{args.attackers}-k{args.k}", g, d.witness, args.attackers
         )
-    if args.format == "json":
-        obj = _decision_json(d, {"attackers": args.attackers, "k": args.k, "n": g.n})
-        obj["witness"] = None if witness is None else codec.instance_object(witness)
-        sys.stdout.write(json.dumps(obj) + "\n")
-    else:
-        sys.stdout.write(
-            f"decide: n={g.n} a={args.attackers} k={args.k} -> {d.outcome} "
-            f"({d.nodes_expanded} nodes, budget {d.budget})\n"
-        )
-        if witness is not None:
-            sys.stdout.write(codec.encode_instance(witness))
-    if d.outcome == search.SAT:
-        return EXIT_PASS
-    return EXIT_FAIL if d.outcome == search.UNSAT else EXIT_UNKNOWN
+    obj = {
+        "report": "search",
+        "attackers": args.attackers,
+        "k": args.k,
+        "n": g.n,
+        "outcome": d.outcome,
+        "nodes_expanded": d.nodes_expanded,
+        "budget": d.budget,
+        "witness": None,
+    }
+    human = (
+        f"decide: n={g.n} a={args.attackers} k={args.k} -> {d.outcome} "
+        f"({d.nodes_expanded} nodes, budget {d.budget})\n"
+    )
+    return _emit(args.format, obj, human, d.outcome, witness)
 
 
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
     report = lemmas.run_lemma(args.lemma, args.trials, args.seed)
     scope = lemmas.SCOPES[args.lemma]
-    if args.format == "json":
-        obj: dict[str, Any] = {
-            "report": "verify-lemma",
-            "lemma": report.lemma_id,
-            "scope": scope.description,
-            "trials": report.trials,
-            "seed": report.seed,
-            "violations": report.violations,
-        }
-        sys.stdout.write(json.dumps(obj) + "\n")
-    else:
-        verdict = "PASS" if report.violations == 0 else "FAIL"
-        sys.stdout.write(
-            f"lemma {report.lemma_id} ({scope.description}): "
-            f"trials={report.trials} seed={report.seed} "
-            f"violations={report.violations} {verdict}\n"
-        )
+    verdict = "fail" if report.violations else "pass"
+    obj: dict[str, Any] = {
+        "report": "verify-lemma",
+        "lemma": report.lemma_id,
+        "scope": scope.description,
+        "trials": report.trials,
+        "seed": report.seed,
+        "violations": report.violations,
+    }
+    human = (
+        f"lemma {report.lemma_id} ({scope.description}): "
+        f"trials={report.trials} seed={report.seed} "
+        f"violations={report.violations} {verdict.upper()}\n"
+    )
+    code = _emit(args.format, obj, human, verdict)
     if report.violations:
         v = report.first_violation
+        witness = ColoredInstance(f"lemma-{args.lemma}-violation", v.graph, v.coloring, None)
         sys.stderr.write(
             f"counterexample at trial {v.trial_index} "
-            f"(hold size {v.a_hr}, resistance size {v.r}):\n"
+            f"(hold size {v.a_hr}, resistance size {v.r}):\n" + codec.encode_instance(witness)
         )
-        sys.stderr.write(
-            codec.encode_instance(
-                _witness_instance(v.graph, v.coloring, None, f"lemma-{args.lemma}-violation")
-            )
-        )
-        return EXIT_FAIL
-    return EXIT_PASS
+    return code
 
 
 def _format_row_value(row: search.KEntry) -> str:
@@ -338,11 +329,10 @@ def _format_row_range(row: search.KEntry) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = search.k_table(args.max_a)
     certified: list[dict[str, Any]] = []
-    for row in rows:
-        ok = search.certify_table_row(row)
-        if not ok:
+    human = f"{'a':>2}  {'n':<12} {'K':>4}  proven by\n"
+    for row in search.k_table(args.max_a):
+        if not search.certify_table_row(row):
             raise ValueError(
                 f"re-certification failed for row a={row.attackers} "
                 f"{_format_row_range(row)}"
@@ -359,22 +349,15 @@ def cmd_table(args: argparse.Namespace) -> int:
                 "note": row.note,
             }
         )
-    if args.format == "json":
-        sys.stdout.write(
-            json.dumps({"report": "k-table", "max_a": args.max_a, "rows": certified})
-            + "\n"
-        )
-        return EXIT_PASS
-    sys.stdout.write(f"{'a':>2}  {'n':<12} {'K':>4}  proven by\n")
-    for row in rows:
         provenance = " + ".join(row.proven_by) if row.proven_by else "(open)"
         if row.instance_name:
             provenance += f" [{row.instance_name}]"
-        line = f"{row.attackers:>2}  {_format_row_range(row):<12} {_format_row_value(row):>4}  {provenance}"
         if row.note:
-            line += f"  ({row.note})"
-        sys.stdout.write(line + "\n")
-    return EXIT_PASS
+            provenance += f"  ({row.note})"
+        human += (f"{row.attackers:>2}  {_format_row_range(row):<12} "
+                  f"{_format_row_value(row):>4}  {provenance}\n")
+    obj = {"report": "k-table", "max_a": args.max_a, "rows": certified}
+    return _emit(args.format, obj, human, "pass")
 
 
 # ---------------------------------------------------------------- parser

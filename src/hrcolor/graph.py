@@ -12,6 +12,8 @@ request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -217,6 +219,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
+
+
+# bounded: callers use a handful of small vertex counts (n <= 16)
+@lru_cache(maxsize=32)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(combinations(range(n), 2))
+
+
+def from_pair_bits(n: int, bits: int) -> Graph:
+    """The labeled graph on n vertices whose edges are the pairs u < v, taken
+    in lexicographic order, at the set bits of `bits`; so bits in
+    0..2**C(n,2)-1 name every labeled graph on n vertices once."""
+    pairs = _pairs(n)
+    if bits < 0 or bits >> len(pairs):
+        raise ValueError(f"bits must lie in 0..2**{len(pairs)}-1")
+    return Graph(n, [pairs[i] for i in _bits(bits)])
 
 
 def cycle(n: int) -> Graph:

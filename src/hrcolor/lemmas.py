@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .checker import lemma_disjunction
 from .coloring import Multicoloring
-from .graph import Graph, VertexSet, cycle
+from .graph import Graph, VertexSet, cycle, from_pair_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +80,8 @@ def _is_cycle(g: Graph) -> bool:
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    bits = rng.getrandbits(len(pairs)) if pairs else 0
-    return Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+    m = n * (n - 1) // 2
+    return from_pair_bits(n, rng.getrandbits(m) if m else 0)
 
 
 def _random_coloring(rng: random.Random, n: int, k: int, density: float) -> Multicoloring:

@@ -18,7 +18,7 @@ from typing import Iterator
 from . import constructions
 from .checker import check_highly, check_hr
 from .coloring import Multicoloring, from_class_masks
-from .graph import Graph, component_masks
+from .graph import Graph, component_masks, from_pair_bits
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -251,13 +251,11 @@ def exhaustive_nonexistence(
         raise ValueError(f"attack size must satisfy 1 <= a <= {n}, got {a}")
     if k_max < a + 1:
         raise ValueError("k_max must be at least a + 1")
-    pairs = list(combinations(range(n), 2))
-    total = 1 << len(pairs)
+    total = 1 << n * (n - 1) // 2
     nodes = 0
     unknown_count = 0
     for bits in range(total):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        g = Graph(n, edges)
+        g = from_pair_bits(n, bits)
         for k in range(a + 1, k_max + 1):
             d = decide(g, a, k, budget)
             nodes += d.nodes_expanded

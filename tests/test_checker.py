@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -298,6 +299,15 @@ class TestSampleCheck:
         a = sample_check(inst.graph, inst.coloring, 3, trials=200, seed=1, workers=3)
         b = sample_check(inst.graph, inst.coloring, 3, trials=200, seed=1, workers=3)
         assert a == b and a.workers == 3
+
+    def test_substreams_beyond_the_trial_count_cost_nothing(self):
+        # workers is only a substream count: no thread is started, and
+        # substreams at index >= trials draw nothing
+        for inst, a in ((c7_pair(), 4), (clique_partition(2), 2)):
+            few = sample_check(inst.graph, inst.coloring, a, trials=3, seed=5, workers=3)
+            many = sample_check(inst.graph, inst.coloring, a, trials=3, seed=5, workers=10**9)
+            assert many.workers == 10**9
+            assert replace(many, workers=3) == few
 
     def test_trials_validated(self):
         g, kappa = k2_two_colors()

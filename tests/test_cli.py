@@ -144,6 +144,18 @@ class TestCheck:
         rc, _, err = run(capsys, "check", "--instance", "/nonexistent.json", "-a", "1")
         assert rc == 2
 
+    def test_missing_inputs_are_usage_errors(self, capsys, two_k2_edges, tmp_path):
+        coloring = tmp_path / "c.json"
+        coloring.write_text('{"k": 2, "colors": [[1], [2], [1], [2]]}', encoding="utf-8")
+        for argv in (
+            ["check"],
+            ["check", "--graph", two_k2_edges, "-a", "1"],
+            ["check", "--coloring", str(coloring), "-a", "1"],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, "")
+            assert err == "error: check needs --instance, or --graph with --coloring\n"
+
 
 class TestSearch:
     def test_triangle_unsat(self, capsys, k3_edges):

@@ -107,10 +107,6 @@ def test_cli_bytes_match_the_golden_record(golden, tmp_path, case, fmt):
     assert run_case(case, fmt, tmp_path) == golden[f"{case} {fmt}"]
 
 
-def test_every_exit_code_of_the_contract_is_pinned(golden):
-    assert {record["rc"] for record in golden.values()} == {0, 1, 2, 3}
-
-
 def record(path: Path) -> None:
     import tempfile
 

@@ -11,6 +11,7 @@ from hrcolor.graph import (
     complete,
     cycle,
     disjoint_union,
+    from_pair_bits,
     induced_subgraph,
     path,
 )
@@ -295,3 +296,26 @@ def test_bad_pairs_are_rejected_anywhere_in_the_list(case, data):
     at = data.draw(st.integers(min_value=0, max_value=len(first)))
     with pytest.raises(ValueError):
         Graph(n, first[:at] + [pair] + first[at:])
+
+
+def pair_filter(n, bits):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def test_from_pair_bits_matches_the_pair_filter():
+    for n in range(5):
+        for bits in range(1 << n * (n - 1) // 2):
+            assert from_pair_bits(n, bits) == pair_filter(n, bits)
+    rng = random.Random(3)
+    for n in range(5, 17):
+        for _ in range(20):
+            bits = rng.getrandbits(n * (n - 1) // 2)
+            g = from_pair_bits(n, bits)
+            assert g == pair_filter(n, bits) and g.edges() == pair_filter(n, bits).edges()
+
+
+@pytest.mark.parametrize("n, bits", [(3, 8), (4, -1), (0, 1), (1, 1)])
+def test_from_pair_bits_rejects_bits_beyond_the_pairs(n, bits):
+    with pytest.raises(ValueError):
+        from_pair_bits(n, bits)
