@@ -80,8 +80,7 @@ def _is_cycle(g: Graph) -> bool:
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
-    m = n * (n - 1) // 2
-    return from_pair_bits(n, rng.getrandbits(m) if m else 0)
+    return from_pair_bits(n, rng.getrandbits(n * (n - 1) // 2))
 
 
 def _random_coloring(rng: random.Random, n: int, k: int, density: float) -> Multicoloring:
