@@ -215,13 +215,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             "nodes_expanded": summary.nodes_expanded,
             "sat_k": summary.sat_k,
             "witness": None,
+            "every_palette": summary.every_palette,
         }
         human = (
             f"nonexistence sweep: n={summary.n} a={summary.a} "
             f"k in [{summary.a + 1}, {summary.k_max}] budget={summary.budget}\n"
             f"outcome: {summary.outcome} "
             f"({summary.graphs_examined}/{summary.graphs_total} labeled graphs, "
-            f"{summary.nodes_expanded} nodes)\n"
+            f"{summary.nodes_expanded} nodes, "
+            f"every palette: {'yes' if summary.every_palette else 'no'})\n"
         )
         return _emit(args.format, obj, human, summary.outcome, witness)
 

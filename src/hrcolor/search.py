@@ -7,6 +7,23 @@ provably cannot be served: a full-color component must intersect every
 class, so once every surviving component of some attack misses a decided
 class, no completion can work. Surviving leaves are confirmed by the
 exhaustive checker.
+
+Existence over all palettes has an exact test (blocker duality, Edmonds &
+Fulkerson 1970): g admits some highly a-resistant multicoloring iff every
+a-attack leaves a surviving component with more than a vertices.
+
+- Only if: a full-color component of at most a vertices, padded to
+  exactly a vertices, would hold every color.
+- If: the complement coloring works. It has one color per a-set X, whose
+  class is every vertex outside X. An a-set Y misses its own color, and a
+  component holds every color iff it lies inside no a-set.
+
+Duplicating a class keeps both conditions, so a graph that passes the test
+admits a coloring for every large enough palette and one that fails it
+admits none. `blocking_attack` returns the first attack that fails the
+test. `decide` answers such graphs unsat with 0 nodes, and it drops
+components of at most a vertices, which can never hold every color, from
+the search's attack lists.
 """
 
 from __future__ import annotations
@@ -35,8 +52,10 @@ class Decision:
 
     `nodes_expanded` counts class-choice candidates examined; UNKNOWN is
     returned exactly when that count would pass the budget. UNSAT means the
-    canonical space was exhausted, except for the k <= a fast path, where a
-    covering attack set is forced outright.
+    canonical space was exhausted, or, with 0 nodes whatever the budget,
+    that no search was needed: k <= a forces a covering attack set, or some
+    attack leaves only components of at most a vertices, so no palette
+    works at all.
     """
 
     outcome: str
@@ -62,7 +81,11 @@ class MinColorsResult:
 
 @dataclass(frozen=True, slots=True)
 class NonexistenceSummary:
-    """Aggregate verdict of a labeled-graph sweep at one attack size."""
+    """Aggregate verdict of a labeled-graph sweep at one attack size.
+
+    `every_palette` is set when every graph has a blocking attack, so the
+    all-unsat verdict holds for every palette size, not only up to k_max.
+    """
 
     outcome: str  # "all-unsat" | "found-sat" | "unknown"
     n: int
@@ -76,6 +99,7 @@ class NonexistenceSummary:
     sat_witness: Multicoloring | None
     unknown_count: int
     nodes_expanded: int
+    every_palette: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +148,11 @@ def canonical_class_sequences(
     yield from rec(0)
 
 
+def _check_attack_size(n: int, a: int) -> None:
+    if not 1 <= a <= n:
+        raise ValueError(f"attack size must satisfy 1 <= a <= {n}, got {a}")
+
+
 def _attack_component_masks(g: Graph, a: int) -> list[list[int]]:
     """For every attack set in rank order, the masks of the surviving
     components; resistance requires some component to intersect every class."""
@@ -138,17 +167,31 @@ def _attack_component_masks(g: Graph, a: int) -> list[list[int]]:
     return out
 
 
+def blocking_attack(g: Graph, a: int) -> tuple[int, ...] | None:
+    """The first attack in rank order whose surviving components all have
+    at most `a` vertices, or None.
+
+    Such an attack shows that g admits no highly a-resistant multicoloring
+    for any palette; when there is none, the complement coloring is one.
+    """
+    _check_attack_size(g.n, a)
+    attacks = combinations(range(g.n), a)
+    for attack, comps in zip(attacks, _attack_component_masks(g, a)):
+        if all(c.bit_count() <= a for c in comps):
+            return attack
+    return None
+
+
 def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     """Decide whether g admits a highly a-resistant k-multicoloring.
 
     Classes are chosen in nondecreasing mask order and must be nonempty
     (an unused color can never appear in a surviving component). A branch
-    is cut as soon as some attack has no surviving component intersecting
-    all decided classes. Leaves are confirmed with check_highly, so a SAT
-    witness always replays through the checker.
+    is cut as soon as some attack has no surviving component of more than
+    `a` vertices intersecting all decided classes. Leaves are confirmed
+    with check_highly, so a SAT witness always replays through the checker.
     """
-    if not 1 <= a <= g.n:
-        raise ValueError(f"attack size must satisfy 1 <= a <= {g.n}, got {a}")
+    _check_attack_size(g.n, a)
     if k < 1:
         raise ValueError("palette size must be at least 1")
     if budget < 0:
@@ -157,11 +200,17 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
         # Resistance forces every color onto some vertex, and then one
         # vertex per color padded to exactly `a` covers the whole palette.
         return Decision(UNSAT, None, 0, budget)
-    # distinct component lists only: identical lists impose identical
-    # constraints, and short lists fail fastest
+    # a component of at most `a` vertices padded to exactly `a` would hold
+    # every color, so it never serves an attack; an attack left with no
+    # larger component blocks every palette. Only distinct lists are kept:
+    # identical lists impose identical constraints, and short lists fail
+    # fastest
     seen: dict[tuple[int, ...], None] = {}
     for comps in _attack_component_masks(g, a):
-        seen.setdefault(tuple(sorted(comps)), None)
+        large = tuple(sorted(c for c in comps if c.bit_count() > a))
+        if not large:
+            return Decision(UNSAT, None, 0, budget)
+        seen.setdefault(large, None)
     attacks = sorted(([*t] for t in seen), key=lambda c: (len(c), c))
 
     limit = 1 << g.n
@@ -218,8 +267,9 @@ def min_colors(g: Graph, a: int, k_max: int, budget: int = 10**6) -> MinColorsRe
     Reports "none" when every k is UNSAT and "unknown" when some UNKNOWN
     precedes the first SAT, since minimality is then unsettled.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_attack_size(g.n, a)
+    if k_max < a + 1:
+        raise ValueError("k_max must be at least a + 1")
     trail: list[tuple[int, Decision]] = []
     unknown_seen = False
     for k in range(a + 1, k_max + 1):
@@ -238,24 +288,33 @@ def min_colors(g: Graph, a: int, k_max: int, budget: int = 10**6) -> MinColorsRe
 def exhaustive_nonexistence(
     n: int, a: int, k_max: int, budget: int = 10**6
 ) -> NonexistenceSummary:
-    """Run decide over every labeled graph on n vertices and k in [a+1, k_max].
+    """Sweep every labeled graph on n vertices for a highly a-resistant
+    coloring with k in [a+1, k_max] colors.
 
-    Stops at the first SAT instance. The all-unsat verdict only certifies
-    palettes up to k_max (palettes below a+1 are impossible outright).
+    A graph with a blocking attack admits no palette at all and is skipped;
+    decide runs on the others and the sweep stops at the first SAT
+    instance. The all-unsat verdict certifies every palette when every
+    graph was blocked (`every_palette`), and palettes up to k_max otherwise
+    (palettes below a+1 are impossible outright).
     """
+    if n < 1:
+        raise ValueError(f"vertex count n must be at least 1, got {n}")
     if n > MAX_NONEXISTENCE_N:
         raise ValueError(
             f"labeled-graph sweeps are limited to n <= {MAX_NONEXISTENCE_N}, got {n}"
         )
-    if not 1 <= a <= n:
-        raise ValueError(f"attack size must satisfy 1 <= a <= {n}, got {a}")
+    _check_attack_size(n, a)
     if k_max < a + 1:
         raise ValueError("k_max must be at least a + 1")
     total = 1 << n * (n - 1) // 2
     nodes = 0
     unknown_count = 0
+    every_palette = True
     for bits in range(total):
         g = from_pair_bits(n, bits)
+        if blocking_attack(g, a) is not None:
+            continue
+        every_palette = False
         for k in range(a + 1, k_max + 1):
             d = decide(g, a, k, budget)
             nodes += d.nodes_expanded
@@ -268,6 +327,7 @@ def exhaustive_nonexistence(
                     sat_graph=g, sat_k=k, sat_witness=d.witness,
                     unknown_count=unknown_count,
                     nodes_expanded=nodes,
+                    every_palette=False,
                 )
             if d.outcome == UNKNOWN:
                 unknown_count += 1
@@ -279,6 +339,7 @@ def exhaustive_nonexistence(
         sat_graph=None, sat_k=None, sat_witness=None,
         unknown_count=unknown_count,
         nodes_expanded=nodes,
+        every_palette=every_palette,
     )
 
 

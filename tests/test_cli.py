@@ -209,6 +209,29 @@ class TestSearch:
         witness = decode_instance(out[doc_start:])
         assert check_highly(witness.graph, witness.coloring, 1).highly_resistant
 
+    def test_nonexistence_every_palette(self, capsys):
+        rc, out, _ = run(capsys, "search", "--nonexistence", "-n", "3", "-a", "1",
+                         "--kmax", "4", "--format", "json")
+        assert rc == 1
+        obj = json.loads(out)
+        assert list(obj)[-1] == "every_palette" and obj["every_palette"] is True
+        rc, out, _ = run(capsys, "search", "--nonexistence", "-n", "3", "-a", "1", "--kmax", "4")
+        assert "every palette: yes" in out
+        rc, out, _ = run(capsys, "search", "--nonexistence", "-n", "4", "-a", "1", "--kmax", "2")
+        assert rc == 0 and "every palette: no" in out
+
+    def test_min_colors_without_a_palette_to_decide(self, capsys, two_k2_edges):
+        rc, out, err = run(capsys, "search", "--graph", two_k2_edges, "-a", "1",
+                           "--min-colors", "--kmax", "1")
+        assert rc == 2
+        assert out == "" and err == "error: k_max must be at least a + 1\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonexistence_bad_vertex_count_names_n(self, capsys, n):
+        rc, out, err = run(capsys, "search", "--nonexistence", "-n", n, "-a", "1", "--kmax", "2")
+        assert rc == 2
+        assert out == "" and err == f"error: vertex count n must be at least 1, got {n}\n"
+
     def test_usage_errors(self, capsys, two_k2_edges):
         rc, _, _ = run(capsys, "search", "--graph", two_k2_edges, "-a", "1")
         assert rc == 2

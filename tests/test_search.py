@@ -1,17 +1,18 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
 from hrcolor.checker import check_highly
 from hrcolor.coloring import Multicoloring, canonical_form
-from hrcolor.constructions import clique_partition
+from hrcolor.constructions import catalog, clique_partition
 from hrcolor.graph import Graph, complete, cycle
 from hrcolor.search import (
     SAT,
     UNKNOWN,
     UNSAT,
+    blocking_attack,
     canonical_class_sequences,
     certify_table_row,
     decide,
@@ -21,7 +22,13 @@ from hrcolor.search import (
     min_colors,
 )
 
-from oracles import raw_search_exists
+from oracles import (
+    _attacked,
+    naive_check_hr,
+    naive_check_resistant,
+    naive_components,
+    raw_search_exists,
+)
 
 
 def two_k2():
@@ -48,8 +55,15 @@ class TestDecide:
         assert d.outcome == UNSAT and d.nodes_expanded == 0
 
     def test_zero_budget_is_unknown(self):
-        d = decide(cycle(7), 3, 6, 0)
+        d = decide(cycle(7), 1, 6, 0)
         assert d.outcome == UNKNOWN and d.nodes_expanded == 0
+
+    def test_blocked_graph_is_unsat_without_search(self):
+        # attack {0, 1, 2} leaves only the path 4-5 on C7
+        assert blocking_attack(cycle(7), 3) == (0, 1, 2)
+        for budget in (0, 10**6):
+            d = decide(cycle(7), 3, 6, budget)
+            assert d.outcome == UNSAT and d.nodes_expanded == 0
 
     def test_unknown_respects_budget(self):
         for budget in (1, 5, 9):
@@ -123,6 +137,12 @@ class TestDecideAgainstRawEnumeration:
 
 
 class TestMinColors:
+    def test_k_max_must_leave_a_palette_to_decide(self):
+        with pytest.raises(ValueError, match=r"k_max must be at least a \+ 1"):
+            min_colors(two_k2(), 1, 1)
+        with pytest.raises(ValueError, match="attack size"):
+            min_colors(two_k2(), 0, 3)
+
     def test_two_k2(self):
         r = min_colors(two_k2(), 1, 3)
         assert r.status == "found" and r.value == 2
@@ -147,6 +167,16 @@ class TestExhaustiveNonexistence:
         s = exhaustive_nonexistence(3, 1, 4)
         assert s.outcome == "all-unsat"
         assert s.graphs_total == 8 and s.graphs_examined == 8
+        # every graph has a blocking attack, so no palette works at all
+        assert s.every_palette and s.nodes_expanded == 0
+
+    def test_every_palette_needs_every_graph_blocked(self):
+        assert not exhaustive_nonexistence(4, 1, 2).every_palette
+        # only the three labelings of 2K2 pass the test, and budget 0
+        # leaves each of them unknown
+        s = exhaustive_nonexistence(4, 1, 2, budget=0)
+        assert s.outcome == "unknown" and s.unknown_count == 3
+        assert not s.every_palette
 
     def test_two_vertices_all_unsat(self):
         s = exhaustive_nonexistence(2, 1, 3)
@@ -166,6 +196,80 @@ class TestExhaustiveNonexistence:
     def test_k_max_validated(self):
         with pytest.raises(ValueError):
             exhaustive_nonexistence(3, 1, 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_vertex_count_checked_before_attack_size(self, n):
+        with pytest.raises(ValueError, match="vertex count n must be at least 1"):
+            exhaustive_nonexistence(n, 1, 2)
+
+
+def complement_color_sets(n: int, a: int) -> tuple[int, list[set[int]]]:
+    """The complement coloring: one color per a-set X, in rank order, on
+    every vertex outside X."""
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for color, attack in enumerate(combinations(range(n), a), start=1):
+        for v in range(n):
+            if v not in attack:
+                sets[v].add(color)
+    return comb(n, a), sets
+
+
+def isomorphism_key(n: int, edges: list[tuple[int, int]]) -> tuple:
+    """The least relabeled edge list over all vertex permutations."""
+    return min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in permutations(range(n))
+    )
+
+
+class TestExistenceCriterion:
+    """A graph admits a highly a-resistant multicoloring for some palette
+    iff every a-attack leaves a component with more than a vertices."""
+
+    def test_every_labeled_graph_up_to_four_vertices(self):
+        raw: dict[tuple, list[int] | None] = {}  # the raw search per shape
+        for n in range(1, 5):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+                g = Graph(n, edges)
+                for a in range(1, n + 1):
+                    expected = next(
+                        (x for x in combinations(range(n), a)
+                         if all(len(c) <= a for c in naive_components(*_attacked(n, edges, x)))),
+                        None,
+                    )
+                    attack = blocking_attack(g, a)
+                    assert attack == expected, (n, edges, a)
+                    d = decide(g, a, a + 1, 0)
+                    if attack is None:
+                        assert d.outcome == UNKNOWN
+                        k, sets = complement_color_sets(n, a)
+                        assert naive_check_hr(n, edges, k, sets, a)[0], (n, edges, a)
+                        assert naive_check_resistant(n, edges, k, sets, a)[0], (n, edges, a)
+                        continue
+                    assert d.outcome == UNSAT and d.nodes_expanded == 0
+                    for k in (a + 1, a + 2):
+                        if (1 << k) ** n > 1 << 16:
+                            continue
+                        # the raw search does not depend on vertex labels
+                        key = (isomorphism_key(n, edges), a, k)
+                        if key not in raw:
+                            raw[key] = raw_search_exists(n, edges, a, k)
+                        assert raw[key] is None, (n, edges, a, k)
+
+    def test_catalog_instances_at_their_design_size(self):
+        checked = 0
+        for inst in catalog():
+            n, a = inst.num_vertices, inst.attackers
+            if comb(n, a) > 15_000:
+                continue  # clique-partition:5 would need 376,992 colors
+            assert blocking_attack(inst.graph, a) is None, inst.name
+            k, sets = complement_color_sets(n, a)
+            kappa = Multicoloring.from_sets(k, [sorted(s) for s in sets])
+            assert check_highly(inst.graph, kappa, a).highly_resistant, inst.name
+            checked += 1
+        assert checked == 6
 
 
 class TestKTable:
