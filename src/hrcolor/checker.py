@@ -13,16 +13,21 @@ is extended by every larger last vertex, so sets still come in rank
 order. Resistance needs one full-color connected part per attack, not
 whole components, so the single flood fill `_full_color_part` stops at the
 first BFS level whose colors reach the palette and returns the part it
-flooded. An attack whose removed mask misses the last part returned leaves
-that part whole and passes with no fill; otherwise a per-scan memo of
-removed masks known to leave a full-color component skips repeated fills.
-Sampling reuses the last part the same way. Each attack gets the same
-verdict as from a full flood fill, so witnesses, examined counts and
-sampled counts are those of a plain scan.
+flooded. An attack whose removed mask misses the part the last resisted
+attack left whole passes with no further work; otherwise the scan looks
+through its short list of recent full-color parts, and fills only when
+the attack hits every one of them. Any connected full-color set that
+survives proves the attack resisted, so each attack gets the same verdict
+as from a full flood fill, and witnesses and examined counts are those of
+a plain scan.
 
-Scans are sequential: under CPython's GIL a thread pool gains no speed,
-and each worker would start with an empty memo. The `threads` keyword of
-the check functions is accepted and ignored.
+Sampling draws each attack as a bit mask straight from the substream's
+`getrandbits`, replaying `random.Random.sample(range(n), a)` draw for
+draw, and reuses full-color parts the same way, so sampled counts and
+first failures are those of a plain loop over `random.Random.sample`.
+
+Scans are sequential: under CPython's GIL a thread pool gains no speed.
+The `threads` keyword of the check functions is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -31,12 +36,16 @@ import hashlib
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import ceil, comb, log
 
 from .coloring import Multicoloring
 from .graph import Graph, VertexSet
 
 _Found = tuple[int, tuple[int, ...]]  # (attack index, attack vertices)
+
+# full-color parts a scan or a sample keeps for reuse; a full list costs up
+# to one AND per part on each attack that hits the last part used
+_RECENT_PARTS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,12 +159,14 @@ def _scan(
     """Scan all C(n, a) attack sets in rank order and return the first
     hold-condition failure and the first resistance failure.
 
-    An attack passes resistance without a fill when its removed mask misses
-    `part`, the last full-color part a fill returned (-1 forces the first
-    fill), or is in `passing`, the removed masks known to leave a full-color
-    component; a failing mask needs no entry, since the first failure
-    settles resistance. Stops early once every wanted failure kind has been
-    seen.
+    An attack passes resistance without further work when its removed mask
+    misses `part`, the full-color part the last resisted attack left whole
+    (-1 forces the first fill). Otherwise the first part in `parts` that the
+    mask misses becomes `part`, and only a mask that hits every listed part
+    is flooded. `parts` holds the parts the fills returned, most recent
+    first, at most `_RECENT_PARTS` of them; each is a connected full-color
+    set, so any attack that misses one resists. Stops early once every
+    wanted failure kind has been seen.
     """
     n = g.n
     closed = g.closed_masks
@@ -166,7 +177,7 @@ def _scan(
     res_first: _Found | None = None
     need_hr = want_hr
     need_res = want_res
-    passing: set[int] = set()
+    parts: list[int] = []
     part = -1
     begin = 0  # rank of the first set extending the current prefix
     # a prefix ending in n-1 has no larger last vertex
@@ -187,16 +198,22 @@ def _scan(
                     return hr_first, res_first
             if need_res:
                 rm = prefix_rm | closed[v]
-                if rm & part and rm not in passing:
-                    found = _full_color_part(closed, colors, full, all_mask & ~rm)
-                    if found:
-                        part = found
-                        passing.add(rm)
+                if rm & part:
+                    for p in parts:
+                        if not rm & p:
+                            part = p
+                            break
                     else:
-                        res_first = (base + v, (*prefix, v))
-                        need_res = False
-                        if not need_hr:
-                            return hr_first, res_first
+                        found = _full_color_part(closed, colors, full, all_mask & ~rm)
+                        if found:
+                            part = found
+                            parts.insert(0, found)
+                            del parts[_RECENT_PARTS:]
+                        else:
+                            res_first = (base + v, (*prefix, v))
+                            need_res = False
+                            if not need_hr:
+                                return hr_first, res_first
     return hr_first, res_first
 
 
@@ -261,14 +278,15 @@ def lemma_disjunction(g: Graph, kappa: Multicoloring, a_hr: int, r: int) -> bool
 
     This is the executable shape shared by the small-graph structure facts:
     each of them asserts the disjunction for every coloring in its scope.
+    Both sizes are validated before either scan runs.
     """
     _validate(g, kappa, a_hr)
     _validate(g, kappa, r)
-    hr_ok, _ = check_hr(g, kappa, a_hr)
-    if not hr_ok:
+    hr_first, _ = _scan(g, kappa, a_hr, True, False)
+    if hr_first is not None:
         return True
-    res_ok, _ = check_resistant(g, kappa, r)
-    return not res_ok
+    _, res_first = _scan(g, kappa, r, False, True)
+    return res_first is not None
 
 
 def substream_seed(seed: int, worker: int) -> int:
@@ -294,6 +312,13 @@ def sample_check(
     exactly by its recorded (seed, trials, workers). Any reported failure
     is re-verified against the definition before the report is returned,
     and a failure that does not replay raises RuntimeError.
+
+    Each attack is the set `random.Random.sample(range(n), a)` would
+    return, drawn as a bit mask straight from the substream's `getrandbits`:
+    by the same pool swaps on small populations, by the same rejection of
+    repeated vertices on larger ones, and with each index drawn as
+    `_randbelow` draws it. Resistance reuses one list of full-color parts
+    as `_scan` does.
     """
     _validate(g, kappa, a)
     if trials < 1:
@@ -306,58 +331,89 @@ def sample_check(
     full = (1 << kappa.palette_size) - 1
     all_mask = g.full_mask
     base, extra = divmod(trials, workers)
+    # random.sample swaps in a pool list up to this many vertices and
+    # rejects repeats on a set above it
+    setsize = 21 + (4 ** ceil(log(a * 3, 4)) if a > 5 else 0)
+    pooled = n <= setsize
+    width = n.bit_length()  # _randbelow(n) draws this many bits at a time
+    pool_draws = [(n - i, (n - i).bit_length()) for i in range(a)]
+    vertices = list(range(n))
 
     hr_failures = 0
     res_failures = 0
-    first_hr: tuple[int, ...] | None = None
-    first_res: tuple[int, ...] | None = None
+    first_hr = 0  # attack masks; 0 until a failure is seen
+    first_res = 0
+    parts: list[int] = []
     part = -1  # as in _scan
-    population = range(n)
     # substreams at index >= trials draw nothing
     for w in range(min(workers, trials)):
         count = base + (1 if w < extra else 0)
-        sample = random.Random(substream_seed(seed, w)).sample
+        getrandbits = random.Random(substream_seed(seed, w)).getrandbits
         for _ in range(count):
-            attack = sample(population, a)
+            attack = 0
             cm = 0
             rm = 0
-            for u in attack:
-                cm |= colors[u]
-                rm |= closed[u]
+            if pooled:
+                pool = vertices[:]
+                for size, bits in pool_draws:
+                    j = getrandbits(bits)
+                    while j >= size:
+                        j = getrandbits(bits)
+                    u = pool[j]
+                    pool[j] = pool[size - 1]
+                    attack |= 1 << u
+                    cm |= colors[u]
+                    rm |= closed[u]
+            else:
+                for _ in range(a):
+                    u = getrandbits(width)
+                    while u >= n or attack >> u & 1:
+                        u = getrandbits(width)
+                    attack |= 1 << u
+                    cm |= colors[u]
+                    rm |= closed[u]
             if cm == full:
                 hr_failures += 1
-                if first_hr is None:
-                    first_hr = tuple(sorted(attack))
+                if not first_hr:
+                    first_hr = attack
             if rm & part:
-                found = _full_color_part(closed, colors, full, all_mask & ~rm)
-                if found:
-                    part = found
+                for p in parts:
+                    if not rm & p:
+                        part = p
+                        break
                 else:
-                    res_failures += 1
-                    if first_res is None:
-                        first_res = tuple(sorted(attack))
-    if first_hr is not None:
+                    found = _full_color_part(closed, colors, full, all_mask & ~rm)
+                    if found:
+                        part = found
+                        parts.insert(0, found)
+                        del parts[_RECENT_PARTS:]
+                    else:
+                        res_failures += 1
+                        if not first_res:
+                            first_res = attack
+    hr_set = VertexSet(first_hr, n) if first_hr else None
+    res_set = VertexSet(first_res, n) if first_res else None
+    if hr_set is not None:
         cm = 0
-        for u in first_hr:
+        for u in hr_set:
             cm |= colors[u]
         if cm != full:
-            raise RuntimeError(f"sampled hold failure {first_hr} does not hold every color")
-    if first_res is not None:
-        removed = g.closed_neighborhood_set(VertexSet.from_vertices(first_res, n))
+            raise RuntimeError(
+                f"sampled hold failure {hr_set.vertices()} does not hold every color"
+            )
+    if res_set is not None:
+        removed = g.closed_neighborhood_set(res_set)
         if _full_color_part(closed, colors, full, all_mask & ~removed.mask):
             raise RuntimeError(
-                f"sampled resistance failure {first_res} leaves a full-color component"
+                f"sampled resistance failure {res_set.vertices()} "
+                "leaves a full-color component"
             )
     return SampleReport(
         trials=trials,
         hr_failures=hr_failures,
         resistance_failures=res_failures,
-        first_hr_failure=(
-            None if first_hr is None else VertexSet.from_vertices(first_hr, n)
-        ),
-        first_resistance_failure=(
-            None if first_res is None else VertexSet.from_vertices(first_res, n)
-        ),
+        first_hr_failure=hr_set,
+        first_resistance_failure=res_set,
         seed=seed,
         workers=workers,
     )

@@ -354,7 +354,7 @@ def k_table(max_a: int = 4) -> list[KEntry]:
         raise ValueError("the table covers attack sizes 1..4")
     rows = [
         KEntry(1, 1, 3, None, True, ("exhaustive-search", "paper-citation"),
-               note="sweeps certify all labeled graphs up to the chosen k_max"),
+               note="sweeps certify every palette for n <= 3"),
         KEntry(1, 4, None, 2, False, ("construction",), "clique-partition:1"),
         KEntry(2, 1, 8, None, True, ("paper-citation",)),
         KEntry(2, 9, None, 3, False, ("construction",), "clique-partition:2"),
@@ -381,8 +381,9 @@ def certify_table_row(row: KEntry, *, k_max: int = 4, budget: int = 10**6) -> bo
     """Re-run the artifact-backed evidence for a table row.
 
     Construction rows re-check their instance exhaustively; the a=1
-    infinite row re-runs the labeled sweeps for n = 1..3. Citation-only
-    rows pass vacuously.
+    infinite row re-runs the labeled sweeps for n = 1..3, each of which
+    must end all-unsat for every palette (`every_palette`), not only for
+    palettes up to `k_max`. Citation-only rows pass vacuously.
     """
     if row.instance_name is not None:
         inst = constructions.instance(row.instance_name)
@@ -395,6 +396,6 @@ def certify_table_row(row: KEntry, *, k_max: int = 4, budget: int = 10**6) -> bo
         hi = row.n_hi if row.n_hi is not None else MAX_NONEXISTENCE_N
         for n in range(max(row.attackers, row.n_lo), hi + 1):
             summary = exhaustive_nonexistence(n, row.attackers, k_max, budget)
-            if summary.outcome != "all-unsat":
+            if summary.outcome != "all-unsat" or not summary.every_palette:
                 return False
     return True

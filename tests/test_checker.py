@@ -54,6 +54,13 @@ REPEATING_MASK_CASES = (
 )
 
 
+def one_color_instance(rng, n, m, k):
+    """n vertices, m random edges and one random color of k on each vertex."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(rng.sample(pairs, m))
+    return Graph(n, edges), Multicoloring(k, [1 << rng.randrange(k) for _ in range(n)])
+
+
 def sparse_random_instances():
     """Random sparse instances: n = 20..30, 3n/2 edges (mean degree 3) and
     nonempty subsets of 3 colors. Almost every removed mask is distinct,
@@ -98,6 +105,52 @@ def assert_report_matches_naive(g, kappa, a, threads=1):
         None if rep.resistance_witness is None else rep.resistance_witness.vertices()
     ) == res_wit
     assert rep.attack_sets_examined == examined
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """What each call of checker._full_color_part returns, in call order."""
+    real = checker._full_color_part
+    found = []
+
+    def recording(closed, colors, full, survivors):
+        part = real(closed, colors, full, survivors)
+        found.append(part)
+        return part
+
+    monkeypatch.setattr(checker, "_full_color_part", recording)
+    return found
+
+
+def assert_sample_matches_naive(g, kappa, a, trials, seed, workers=1):
+    """sample_check's counts and first failures against a replay of the
+    substreams that draws with random.Random.sample and judges each attack
+    with the naive reference. Returns the report."""
+    n, edges, k = g.n, list(g.edges()), kappa.palette_size
+    colors = [set(kappa.colors_of(v)) for v in range(n)]
+    palette = set(range(1, k + 1))
+    hr_failures = res_failures = 0
+    first_hr = first_res = None
+    base, extra = divmod(trials, workers)
+    for w in range(workers):
+        rng = random.Random(substream_seed(seed, w))
+        for _ in range(base + (1 if w < extra else 0)):
+            attack = tuple(sorted(rng.sample(range(n), a)))
+            if set().union(*(colors[u] for u in attack)) == palette:
+                hr_failures += 1
+                first_hr = first_hr or attack
+            if naive_attack_defeats(n, edges, k, colors, attack):
+                res_failures += 1
+                first_res = first_res or attack
+    rep = sample_check(g, kappa, a, trials, seed, workers=workers)
+    assert (rep.hr_failures, rep.resistance_failures) == (hr_failures, res_failures)
+    assert rep.first_hr_failure == (
+        None if first_hr is None else VertexSet.from_vertices(first_hr, n)
+    )
+    assert rep.first_resistance_failure == (
+        None if first_res is None else VertexSet.from_vertices(first_res, n)
+    )
+    return rep
 
 
 class TestValidation:
@@ -331,35 +384,34 @@ class TestSampleCheck:
         assert len(calls) == 2
 
     def test_matches_a_naive_replay_of_the_substreams(self):
-        for g, kappa in sparse_random_instances():
-            n, edges = g.n, list(g.edges())
-            colors = [set(kappa.colors_of(v)) for v in range(n)]
-            palette = set(range(1, 4))
-            for a, seed, workers in ((2, 5, 1), (3, 6, 3)):
-                trials = 400
-                hr_failures = res_failures = 0
-                first_hr = first_res = None
-                base, extra = divmod(trials, workers)
-                for w in range(workers):
-                    rng = random.Random(substream_seed(seed, w))
-                    for _ in range(base + (1 if w < extra else 0)):
-                        attack = tuple(sorted(rng.sample(range(n), a)))
-                        if set().union(*(colors[u] for u in attack)) == palette:
-                            hr_failures += 1
-                            first_hr = first_hr or attack
-                        if naive_attack_defeats(n, edges, 3, colors, attack):
-                            res_failures += 1
-                            first_res = first_res or attack
-                rep = sample_check(g, kappa, a, trials, seed, workers=workers)
-                assert (rep.hr_failures, rep.resistance_failures) == (
-                    hr_failures, res_failures
-                )
-                assert rep.first_hr_failure == (
-                    None if first_hr is None else VertexSet.from_vertices(first_hr, n)
-                )
-                assert rep.first_resistance_failure == (
-                    None if first_res is None else VertexSet.from_vertices(first_res, n)
-                )
+        # random.sample swaps in a pool list up to 21 vertices and rejects
+        # repeats above; for a > 5 the switch moves (to 85 vertices at
+        # a = 6). Each index is drawn with n.bit_length() bits, one more
+        # than n - 1 needs when n is a power of two (16, 64). The boundary
+        # instances sit on both sides of these rules and fail both
+        # conditions on some draws but not all, so a draw that moves
+        # changes a count or a first failure.
+        cases = [(g, kappa, a, seed, workers, False)
+                 for g, kappa in sparse_random_instances()
+                 for a, seed, workers in ((2, 5, 1), (3, 6, 3))]
+        rng = random.Random(59)
+        for n, m, a in ((16, 24, 3), (21, 31, 3), (22, 33, 3), (64, 1000, 3),
+                        (85, 1020, 6), (86, 1032, 6)):
+            g, kappa = one_color_instance(rng, n, m, 3 if a == 3 else 4)
+            cases += [(g, kappa, a, seed, workers, True)
+                      for seed, workers in ((7, 1), (8, 2), (9, 5))]
+        for g, kappa, a, seed, workers, boundary in cases:
+            rep = assert_sample_matches_naive(g, kappa, a, 400, seed, workers)
+            if boundary:
+                assert 0 < rep.hr_failures < 400 and 0 < rep.resistance_failures < 400
+
+    def test_part_list_past_its_cap_keeps_the_naive_counts(self, fills):
+        # sampled trials at n = 23, a = 2 find more full-color parts than
+        # the list keeps, and some of them fail
+        g, kappa = sparse_random_instances()[1]
+        rep = assert_sample_matches_naive(g, kappa, 2, 2000, 3)
+        assert rep.resistance_failures > 0
+        assert sum(1 for part in fills if part) > checker._RECENT_PARTS
 
 
 @st.composite
@@ -433,6 +485,14 @@ def test_sparse_random_instances_agree_with_the_naive_reference():
         for a in (2, 3):
             for threads in (1, 3):
                 assert_report_matches_naive(g, kappa, a, threads)
+
+
+def test_part_list_past_its_cap_keeps_the_naive_verdicts(fills):
+    # the exhaustive scan at n = 26, a = 3 finds more full-color parts than
+    # the list keeps, and passes
+    g, kappa = sparse_random_instances()[2]
+    assert_report_matches_naive(g, kappa, 3)
+    assert all(fills) and len(fills) > checker._RECENT_PARTS
 
 
 def _union(masks, vertices):

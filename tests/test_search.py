@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+from hrcolor import search
 from hrcolor.checker import check_highly
 from hrcolor.coloring import Multicoloring, canonical_form
 from hrcolor.constructions import catalog, clique_partition
@@ -300,3 +302,15 @@ class TestKTable:
             if row.instance_name == "paper-21" or row.attackers >= 4:
                 continue  # certified in the acceptance suite
             assert certify_table_row(row)
+
+    def test_exhaustive_rows_need_every_palette(self, monkeypatch):
+        # an all-unsat sweep bounded by k_max does not certify an infinite row
+        real = search.exhaustive_nonexistence
+
+        def palette_bounded(*args, **kwargs):
+            return replace(real(*args, **kwargs), every_palette=False)
+
+        row = k_lookup(1, 3)
+        assert certify_table_row(row)
+        monkeypatch.setattr(search, "exhaustive_nonexistence", palette_bounded)
+        assert not certify_table_row(row)
