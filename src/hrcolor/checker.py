@@ -106,15 +106,17 @@ class SampleReport:
             )
 
 
-def _validate(g: Graph, kappa: Multicoloring, a: int) -> None:
+def _validate(g: Graph, kappa: Multicoloring, *sizes: int) -> None:
+    """Check the coloring against the graph, then each attack size in turn."""
     if len(kappa) != g.n:
         raise ValueError(
             f"coloring has {len(kappa)} entries for a graph on {g.n} vertices"
         )
     if kappa.palette_size < 1:
         raise ValueError("palette must contain at least one color")
-    if not 1 <= a <= g.n:
-        raise ValueError(f"attack size must satisfy 1 <= a <= {g.n}, got {a}")
+    for a in sizes:
+        if not 1 <= a <= g.n:
+            raise ValueError(f"attack size must satisfy 1 <= a <= {g.n}, got {a}")
 
 
 def _full_color_part(
@@ -280,8 +282,7 @@ def lemma_disjunction(g: Graph, kappa: Multicoloring, a_hr: int, r: int) -> bool
     each of them asserts the disjunction for every coloring in its scope.
     Both sizes are validated before either scan runs.
     """
-    _validate(g, kappa, a_hr)
-    _validate(g, kappa, r)
+    _validate(g, kappa, a_hr, r)
     hr_first, _ = _scan(g, kappa, a_hr, True, False)
     if hr_first is not None:
         return True

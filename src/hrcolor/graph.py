@@ -6,14 +6,15 @@ masks, so set algebra is exact and not capped at machine word size.
 A `Graph` stores one thing per vertex: its closed neighborhood N[u] as a
 bit mask, the form every attack reads (an attack by A removes N[A]). The
 edge list, neighbor tuples and degrees are derived from these masks on
-request.
+request. `Graph(n, edges)` checks every edge it is given; `from_pair_bits`
+writes the masks straight from a bit string over the pairs, whose fixed
+layout cannot name a bad edge, so it checks only the vertex count and the
+width of the bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -145,6 +146,15 @@ class Graph:
         self.n = n
         self._closed = tuple(closed)
 
+    @classmethod
+    def _from_closed(cls, n: int, closed: tuple[int, ...]) -> "Graph":
+        """A graph from masks already known to be valid closed
+        neighborhoods on n vertices; nothing is checked."""
+        g = object.__new__(cls)
+        g.n = n
+        g._closed = closed
+        return g
+
     @property
     def num_vertices(self) -> int:
         return self.n
@@ -221,20 +231,33 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
-# bounded: callers use a handful of small vertex counts (n <= 16)
-@lru_cache(maxsize=32)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(combinations(range(n), 2))
-
-
 def from_pair_bits(n: int, bits: int) -> Graph:
     """The labeled graph on n vertices whose edges are the pairs u < v, taken
     in lexicographic order, at the set bits of `bits`; so bits in
-    0..2**C(n,2)-1 name every labeled graph on n vertices once."""
-    pairs = _pairs(n)
-    if bits < 0 or bits >> len(pairs):
-        raise ValueError(f"bits must lie in 0..2**{len(pairs)}-1")
-    return Graph(n, [pairs[i] for i in _bits(bits)])
+    0..2**C(n,2)-1 name every labeled graph on n vertices once.
+
+    For each u the pairs (u, v), v > u, form one contiguous run of n-1-u
+    bits, so u's higher neighbors take one shift and one mask of `bits`;
+    each edge then costs one more OR to mirror it into its higher end's
+    mask.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    width = n * (n - 1) // 2
+    if bits < 0 or bits >> width:
+        raise ValueError(f"bits must lie in 0..2**{width}-1")
+    closed = [1 << u for u in range(n)]
+    for u in range(n - 1):
+        run = n - 1 - u
+        higher = (bits & ((1 << run) - 1)) << (u + 1)
+        bits >>= run
+        closed[u] |= higher
+        bu = 1 << u
+        while higher:
+            b = higher & -higher
+            closed[b.bit_length() - 1] |= bu
+            higher ^= b
+    return Graph._from_closed(n, tuple(closed))
 
 
 def cycle(n: int) -> Graph:

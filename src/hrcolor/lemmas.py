@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .checker import lemma_disjunction
 from .coloring import Multicoloring
-from .graph import Graph, VertexSet, cycle, from_pair_bits
+from .graph import Graph, component_masks, cycle, from_pair_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,13 +74,10 @@ class LemmaRunReport:
 
 def _is_cycle(g: Graph) -> bool:
     """Connected and 2-regular, i.e. the cycle on its vertex count."""
-    if g.n < 3 or any(g.degree(u) != 2 for u in range(g.n)):
+    closed = g.closed_masks
+    if any(m.bit_count() != 3 for m in closed):
         return False
-    return len(g.surviving_components(VertexSet(0, g.n))) == 1
-
-
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    return from_pair_bits(n, rng.getrandbits(n * (n - 1) // 2))
+    return len(component_masks(closed, g.full_mask)) == 1
 
 
 def _random_coloring(rng: random.Random, n: int, k: int, density: float) -> Multicoloring:
@@ -96,16 +93,16 @@ def _random_coloring(rng: random.Random, n: int, k: int, density: float) -> Mult
     return Multicoloring(k, masks)
 
 
-def _sample_instance(scope: LemmaScope, rng: random.Random) -> tuple[Graph, Multicoloring]:
-    if scope.fixed_cycle is not None:
-        g = cycle(scope.fixed_cycle)
-    else:
-        while True:
-            n = rng.randint(scope.n_lo, scope.n_hi)
-            g = _random_graph(rng, n)
-            if scope.excluded_cycle is not None and n == scope.excluded_cycle and _is_cycle(g):
-                continue
-            break
+def _sample_instance(
+    scope: LemmaScope, rng: random.Random, fixed: Graph | None
+) -> tuple[Graph, Multicoloring]:
+    """One trial's draws; `fixed` is the suite's cycle, or None to draw a graph."""
+    g = fixed
+    while g is None:
+        n = rng.randint(scope.n_lo, scope.n_hi)
+        g = from_pair_bits(n, rng.getrandbits(n * (n - 1) // 2))
+        if n == scope.excluded_cycle and _is_cycle(g):
+            g = None
     k = scope.k_lo if scope.k_lo == scope.k_hi else rng.randint(scope.k_lo, scope.k_hi)
     # one in ten trials probes sparse and dense colorings
     if rng.random() < 0.1:
@@ -127,10 +124,11 @@ def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
         raise ValueError("trials must be at least 1")
     scope = SCOPES[lemma_id]
     rng = random.Random(seed)
+    fixed = None if scope.fixed_cycle is None else cycle(scope.fixed_cycle)
     violations = 0
     first: Violation | None = None
     for t in range(trials):
-        g, kappa = _sample_instance(scope, rng)
+        g, kappa = _sample_instance(scope, rng, fixed)
         if not lemma_disjunction(g, kappa, scope.a_hr, scope.r):
             violations += 1
             if first is None:

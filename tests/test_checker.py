@@ -328,6 +328,24 @@ class TestLemmaDisjunction:
             kappa = Multicoloring(6, [rng.getrandbits(6) for _ in range(7)])
             assert lemma_disjunction(g, kappa, 3, 1)
 
+    # each call checks the coloring, then a_hr, then r, and raises the first
+    # error it meets
+    @pytest.mark.parametrize(
+        "n_colored, k, a_hr, r, message",
+        [
+            (6, 6, 0, 99, "6 entries for a graph on 7 vertices"),
+            (7, 0, 0, 99, "at least one color"),
+            (7, 6, 0, 99, "1 <= a <= 7, got 0"),
+            (7, 6, 8, 0, "1 <= a <= 7, got 8"),
+            (7, 6, 3, 0, "1 <= a <= 7, got 0"),
+            (7, 6, 3, 8, "1 <= a <= 7, got 8"),
+        ],
+    )
+    def test_errors_keep_their_order(self, n_colored, k, a_hr, r, message):
+        kappa = Multicoloring(k, [0] * n_colored)
+        with pytest.raises(ValueError, match=message):
+            lemma_disjunction(cycle(7), kappa, a_hr, r)
+
 
 class TestSampleCheck:
     def test_passing_instance_has_no_failures(self):

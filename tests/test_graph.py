@@ -311,11 +311,30 @@ def test_from_pair_bits_matches_the_pair_filter():
     for n in range(5, 17):
         for _ in range(20):
             bits = rng.getrandbits(n * (n - 1) // 2)
-            g = from_pair_bits(n, bits)
-            assert g == pair_filter(n, bits) and g.edges() == pair_filter(n, bits).edges()
+            g, want = from_pair_bits(n, bits), pair_filter(n, bits)
+            assert g == want and hash(g) == hash(want)
+            assert g.edges() == want.edges() and g.closed_masks == want.closed_masks
 
 
-@pytest.mark.parametrize("n, bits", [(3, 8), (4, -1), (0, 1), (1, 1)])
+def test_from_pair_bits_on_zero_and_one_vertex():
+    assert from_pair_bits(0, 0) == Graph(0) and from_pair_bits(0, 0).edges() == ()
+    assert from_pair_bits(1, 0) == Graph(1) and from_pair_bits(1, 0).closed_masks == (1,)
+
+
+@pytest.mark.parametrize(
+    "n, bits",
+    [(3, 8), (4, -1), (0, 1), (0, -1), (1, 1), (1, 2), (1, -1),
+     pytest.param(16, 1 << 120, id="16-2**120"),
+     pytest.param(16, -1 << 119, id="16--2**119")],
+)
 def test_from_pair_bits_rejects_bits_beyond_the_pairs(n, bits):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bits must lie"):
+        from_pair_bits(n, bits)
+
+
+# n*(n-1)/2 is 1 at n = -1 and 3 at n = -2, so these bits would pass a
+# width check alone
+@pytest.mark.parametrize("n, bits", [(-1, 0), (-1, 1), (-2, 0), (-2, 7), (-5, 0)])
+def test_from_pair_bits_rejects_negative_vertex_counts(n, bits):
+    with pytest.raises(ValueError, match="non-negative"):
         from_pair_bits(n, bits)

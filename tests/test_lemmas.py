@@ -1,0 +1,156 @@
+"""The lemma suites' trial stream, replayed from the documented draw order.
+
+`run_lemma` builds its graphs from bit strings and reuses one cycle per
+run; the replay here builds each trial's graph from an explicit edge list
+and a fresh `cycle`, so any change to a draw or to a built instance shows.
+"""
+
+import random
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations, permutations
+
+import pytest
+
+from hrcolor import lemmas
+from hrcolor.coloring import Multicoloring
+from hrcolor.graph import Graph, VertexSet, cycle, disjoint_union, from_pair_bits
+
+from oracles import naive_components
+
+SEEDS = (0, 1, 2)
+TRIALS = 200
+
+
+def naive_is_cycle(g):
+    """Connected and 2-regular, from the edge list alone."""
+    edges = list(g.edges())
+    degree = Counter(v for e in edges for v in e)
+    return (
+        g.n >= 3
+        and all(degree[u] == 2 for u in range(g.n))
+        and len(naive_components(list(range(g.n)), edges)) == 1
+    )
+
+
+def replay(scope, trials, seed):
+    """Every (graph, coloring) of a run, drawn in the documented order: size,
+    edges, palette, density flag, color memberships."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        if scope.fixed_cycle is not None:
+            g = cycle(scope.fixed_cycle)
+        else:
+            while True:
+                n = rng.randint(scope.n_lo, scope.n_hi)
+                pairs = list(combinations(range(n), 2))
+                bits = rng.getrandbits(len(pairs))
+                g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                if not (n == scope.excluded_cycle and naive_is_cycle(g)):
+                    break
+        k = scope.k_lo if scope.k_lo == scope.k_hi else rng.randint(scope.k_lo, scope.k_hi)
+        density = 0.5
+        if rng.random() < 0.1:
+            density = 0.25 if rng.random() < 0.5 else 0.75
+        if density == 0.5:
+            masks = [rng.getrandbits(k) for _ in range(g.n)]
+        else:
+            masks = [
+                sum(1 << c for c in range(k) if rng.random() < density)
+                for _ in range(g.n)
+            ]
+        out.append((g, Multicoloring(k, masks)))
+    return out
+
+
+def recorded_run(monkeypatch, lemma_id, seed, fail_at=()):
+    """Run a suite with the disjunction replaced by a recorder that fails at
+    the trial indices in `fail_at`; return the report and the recorded
+    calls."""
+    calls = []
+
+    def record(g, kappa, a_hr, r):
+        assert isinstance(g, Graph) and isinstance(kappa, Multicoloring)
+        calls.append((g, kappa, a_hr, r))
+        return len(calls) - 1 not in fail_at
+
+    monkeypatch.setattr(lemmas, "lemma_disjunction", record)
+    return lemmas.run_lemma(lemma_id, TRIALS, seed), calls
+
+
+@pytest.mark.parametrize("lemma_id", lemmas.LEMMA_IDS)
+def test_trial_stream_matches_the_documented_draw_order(monkeypatch, lemma_id):
+    scope = lemmas.SCOPES[lemma_id]
+    for seed in SEEDS:
+        report, calls = recorded_run(monkeypatch, lemma_id, seed)
+        assert report.violations == 0 and report.first_violation is None
+        want = replay(scope, TRIALS, seed)
+        assert len(calls) == TRIALS
+        for (g, kappa, a_hr, r), (g_want, kappa_want) in zip(calls, want):
+            assert (a_hr, r) == (scope.a_hr, scope.r)
+            assert g == g_want and g.edges() == g_want.edges()
+            assert kappa == kappa_want
+
+
+# the real suites exclude the 7- and 8-cycle, which a 200-trial run almost
+# never draws; these scopes redraw a triangle or a 4-cycle often
+@pytest.mark.parametrize("n_lo, n_hi, excluded", [(3, 3, 3), (3, 5, 3), (4, 5, 4)])
+def test_excluded_cycles_are_redrawn(monkeypatch, n_lo, n_hi, excluded):
+    scope = replace(lemmas.SCOPES[4], n_lo=n_lo, n_hi=n_hi, excluded_cycle=excluded)
+    monkeypatch.setitem(lemmas.SCOPES, 4, scope)
+    for seed in SEEDS:
+        _, calls = recorded_run(monkeypatch, 4, seed)
+        want = replay(scope, TRIALS, seed)
+        assert [(g, kappa) for g, kappa, _, _ in calls] == want
+        assert not any(g.n == excluded and naive_is_cycle(g) for g, _ in want)
+        assert want != replay(replace(scope, excluded_cycle=None), TRIALS, seed)
+
+
+@pytest.mark.parametrize("lemma_id", lemmas.LEMMA_IDS)
+def test_violations_keep_the_first_failing_trial(monkeypatch, lemma_id):
+    scope = lemmas.SCOPES[lemma_id]
+    for seed in SEEDS:
+        chosen = random.Random(seed).randrange(TRIALS - 1)
+        report, _ = recorded_run(monkeypatch, lemma_id, seed, {chosen, TRIALS - 1})
+        g, kappa = replay(scope, TRIALS, seed)[chosen]
+        assert report.violations == 2
+        assert report.first_violation == lemmas.Violation(chosen, g, kappa, scope.a_hr, scope.r)
+
+
+def reference_is_cycle(g):
+    """The mask-free definition: every degree 2 and one surviving component
+    when nothing is removed."""
+    if g.n < 3 or any(g.degree(u) != 2 for u in range(g.n)):
+        return False
+    return len(g.surviving_components(VertexSet(0, g.n))) == 1
+
+
+def relabeled(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_is_cycle_on_every_labeled_graph_up_to_six_vertices():
+    for n in range(7):
+        hits = 0
+        for bits in range(1 << n * (n - 1) // 2):
+            g = from_pair_bits(n, bits)
+            want = reference_is_cycle(g)
+            assert lemmas._is_cycle(g) == want == naive_is_cycle(g)
+            hits += want
+        # (n-1)!/2 labeled n-cycles
+        assert hits == (0 if n < 3 else len(list(permutations(range(n - 1)))) // 2)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_is_cycle_on_relabeled_cycles(n):
+    rng = random.Random(n)
+    two_cycles = disjoint_union(cycle(3), cycle(n - 3))
+    for _ in range(50):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for g, want in ((cycle(n), True), (two_cycles, False)):
+            h = relabeled(g, perm)
+            assert lemmas._is_cycle(h) == reference_is_cycle(h) == want
+        chord = relabeled(Graph(n, list(cycle(n).edges()) + [(0, 2)]), perm)
+        assert not lemmas._is_cycle(chord) and not reference_is_cycle(chord)
