@@ -106,6 +106,12 @@ class SampleReport:
             )
 
 
+def _check_attack_size(n: int, a: int) -> None:
+    """Refuse an attack size outside 1..n; `search` checks with this too."""
+    if not 1 <= a <= n:
+        raise ValueError(f"attack size must satisfy 1 <= a <= {n}, got {a}")
+
+
 def _validate(g: Graph, kappa: Multicoloring, *sizes: int) -> None:
     """Check the coloring against the graph, then each attack size in turn."""
     if len(kappa) != g.n:
@@ -115,8 +121,7 @@ def _validate(g: Graph, kappa: Multicoloring, *sizes: int) -> None:
     if kappa.palette_size < 1:
         raise ValueError("palette must contain at least one color")
     for a in sizes:
-        if not 1 <= a <= g.n:
-            raise ValueError(f"attack size must satisfy 1 <= a <= {g.n}, got {a}")
+        _check_attack_size(g.n, a)
 
 
 def _full_color_part(

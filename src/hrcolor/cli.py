@@ -6,9 +6,10 @@ a stable contract: 0 pass/sat, 1 fail/unsat, 2 usage or parse error,
 stderr. Structured mode emits one JSON object; human and structured mode
 always agree on verdicts.
 
-Every report is written by `_emit` (the two `check` reports by
-`render_check_report` and `render_sample_report`), and `_EXIT` is the one
-map from a report's verdict to its exit code.
+Every command but `construct`, which writes a bare instance document,
+builds its report's JSON object and human text side by side and hands both
+to `_emit`, the one writer of every report; `_EXIT` is the one map from a
+report's verdict to its exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from typing import Any
 
 from . import codec, constructions, lemmas, search
-from .checker import CheckReport, SampleReport, check_highly, sample_check
+from .checker import check_highly, sample_check
 from .constructions import ColoredInstance
 from .graph import VertexSet
 
@@ -41,79 +42,6 @@ def _vs_human(vs: VertexSet | None) -> str:
     if vs is None:
         return "-"
     return "{" + ", ".join(str(v) for v in vs) + "}"
-
-
-def render_check_report(
-    report: CheckReport, *, a: int, n: int, k: int, name: str | None,
-    threads: int, fmt: str,
-) -> str:
-    if fmt == "json":
-        obj: dict[str, Any] = {
-            "report": "check",
-            "name": name,
-            "n": n,
-            "k": k,
-            "attackers": a,
-            "hr_holds": report.hr_holds,
-            "hr_witness": _vs_json(report.hr_witness),
-            "resistant": report.resistant,
-            "resistance_witness": _vs_json(report.resistance_witness),
-            "highly_resistant": report.highly_resistant,
-            "attack_sets_examined": report.attack_sets_examined,
-            "threads": threads,
-        }
-        return json.dumps(obj) + "\n"
-    lines = []
-    label = name if name is not None else "unnamed"
-    lines.append(f"instance: {label} (n={n}, k={k}, attackers={a})")
-    if report.hr_holds:
-        lines.append("hold condition: holds (no attack set has every color)")
-    else:
-        lines.append(f"hold condition: FAILS  witness {_vs_human(report.hr_witness)}")
-    if report.resistant:
-        lines.append("resistance: holds (every attack leaves a full-color component)")
-    else:
-        lines.append(
-            f"resistance: FAILS  witness {_vs_human(report.resistance_witness)}"
-        )
-    verdict = "yes" if report.highly_resistant else "no"
-    lines.append(f"highly resistant: {verdict}")
-    lines.append(f"attack sets examined: {report.attack_sets_examined}")
-    return "\n".join(lines) + "\n"
-
-
-def render_sample_report(
-    report: SampleReport, *, a: int, n: int, k: int, name: str | None, fmt: str
-) -> str:
-    if fmt == "json":
-        obj = {
-            "report": "sample-check",
-            "name": name,
-            "n": n,
-            "k": k,
-            "attackers": a,
-            "trials": report.trials,
-            "hr_failures": report.hr_failures,
-            "resistance_failures": report.resistance_failures,
-            "first_hr_failure": _vs_json(report.first_hr_failure),
-            "first_resistance_failure": _vs_json(report.first_resistance_failure),
-            "seed": report.seed,
-            "workers": report.workers,
-        }
-        return json.dumps(obj) + "\n"
-    lines = [
-        f"sampled check: trials={report.trials} seed={report.seed} "
-        f"workers={report.workers} (n={n}, k={k}, attackers={a})",
-        f"hold-condition failures: {report.hr_failures}"
-        + (f"  first {_vs_human(report.first_hr_failure)}" if report.hr_failures else ""),
-        f"resistance failures: {report.resistance_failures}"
-        + (
-            f"  first {_vs_human(report.first_resistance_failure)}"
-            if report.resistance_failures
-            else ""
-        ),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _read(path: str) -> str:
@@ -172,15 +100,62 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("check needs --instance, or --graph with --coloring")
     if a is None:
         raise ValueError("no attack size: pass -a or use an instance that records one")
-    k = kappa.palette_size
+    n, k = g.n, kappa.palette_size
     if args.sample is not None:
         rep = sample_check(g, kappa, a, args.sample, args.seed, workers=args.threads)
-        sys.stdout.write(render_sample_report(rep, a=a, n=g.n, k=k, name=name, fmt=args.format))
-        return _EXIT["fail" if rep.hr_failures or rep.resistance_failures else "pass"]
+        obj: dict[str, Any] = {
+            "report": "sample-check",
+            "name": name,
+            "n": n,
+            "k": k,
+            "attackers": a,
+            "trials": rep.trials,
+            "hr_failures": rep.hr_failures,
+            "resistance_failures": rep.resistance_failures,
+            "first_hr_failure": _vs_json(rep.first_hr_failure),
+            "first_resistance_failure": _vs_json(rep.first_resistance_failure),
+            "seed": rep.seed,
+            "workers": rep.workers,
+        }
+        hr_first = f"  first {_vs_human(rep.first_hr_failure)}" if rep.hr_failures else ""
+        res_first = (f"  first {_vs_human(rep.first_resistance_failure)}"
+                     if rep.resistance_failures else "")
+        human = (
+            f"sampled check: trials={rep.trials} seed={rep.seed} "
+            f"workers={rep.workers} (n={n}, k={k}, attackers={a})\n"
+            f"hold-condition failures: {rep.hr_failures}{hr_first}\n"
+            f"resistance failures: {rep.resistance_failures}{res_first}\n"
+        )
+        failed = rep.hr_failures or rep.resistance_failures
+        return _emit(args.format, obj, human, "fail" if failed else "pass")
     rep = check_highly(g, kappa, a)
-    sys.stdout.write(render_check_report(rep, a=a, n=g.n, k=k, name=name,
-                                         threads=args.threads, fmt=args.format))
-    return _EXIT["pass" if rep.highly_resistant else "fail"]
+    obj = {
+        "report": "check",
+        "name": name,
+        "n": n,
+        "k": k,
+        "attackers": a,
+        "hr_holds": rep.hr_holds,
+        "hr_witness": _vs_json(rep.hr_witness),
+        "resistant": rep.resistant,
+        "resistance_witness": _vs_json(rep.resistance_witness),
+        "highly_resistant": rep.highly_resistant,
+        "attack_sets_examined": rep.attack_sets_examined,
+        "threads": args.threads,
+    }
+    hold = ("holds (no attack set has every color)" if rep.hr_holds
+            else f"FAILS  witness {_vs_human(rep.hr_witness)}")
+    resistance = ("holds (every attack leaves a full-color component)" if rep.resistant
+                  else f"FAILS  witness {_vs_human(rep.resistance_witness)}")
+    human = (
+        f"instance: {name if name is not None else 'unnamed'} "
+        f"(n={n}, k={k}, attackers={a})\n"
+        f"hold condition: {hold}\n"
+        f"resistance: {resistance}\n"
+        f"highly resistant: {'yes' if rep.highly_resistant else 'no'}\n"
+        f"attack sets examined: {rep.attack_sets_examined}\n"
+    )
+    return _emit(args.format, obj, human, "pass" if rep.highly_resistant else "fail")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

@@ -10,6 +10,12 @@ Two formats are supported, both UTF-8 with LF line endings:
   number written in ASCII digits with an optional leading minus sign.
 
 Encoding is canonical: the same value always produces the same bytes.
+
+Decoding checks each value once and reports the first fault it meets as
+a `CodecError`. Each checked edge is written straight into the
+closed-neighborhood masks that become the `Graph` (through
+`Graph._from_closed`, which checks nothing again), and each checked color
+list straight into its vertex's color mask.
 """
 
 from __future__ import annotations
@@ -20,14 +26,9 @@ from typing import Any
 
 from .coloring import Multicoloring
 from .constructions import ColoredInstance
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 HEADER = "# instance document: vertices are 0-based, colors are 1-based"
-
-#: Largest vertex count a document may declare. Decoding a graph allocates
-#: per-vertex structures before any edge is read, so a larger count is
-#: refused up front (code "too-large"); every catalog instance has n <= 21.
-MAX_VERTICES = 4096
 
 #: Largest palette a document may declare. A coloring holds its palette as
 #: a bit mask of k bits, so a larger k is refused before any coloring is
@@ -106,10 +107,18 @@ def _load_json(text: str) -> Any:
         raise CodecError("syntax", f"invalid document: {exc}") from None
 
 
-def _color_lists(raw_colors: list, k: int) -> list[list[int]]:
-    """Validate per-vertex color lists: 1-based colors within 1..k, sorted
-    ascending without duplicates."""
-    sets: list[list[int]] = []
+def _coloring(raw_colors: Any, k: int, n: int | None = None) -> Multicoloring:
+    """Check the `colors` field, a list of n per-vertex color lists when n is
+    given, each of 1-based colors within 1..k, sorted ascending without
+    duplicates; each list's mask is built as its order is checked."""
+    if not isinstance(raw_colors, list):
+        raise CodecError("schema", "field 'colors' must be a list of color lists")
+    if n is not None and len(raw_colors) != n:
+        raise CodecError(
+            "length-mismatch",
+            f"'colors' has {len(raw_colors)} entries but n = {n}",
+        )
+    masks: list[int] = []
     for v, cs in enumerate(raw_colors):
         if not isinstance(cs, list):
             raise CodecError("schema", f"colors[{v}] must be a list")
@@ -119,27 +128,31 @@ def _color_lists(raw_colors: list, k: int) -> list[list[int]]:
                 raise CodecError(
                     "color-range", f"colors[{v}] contains {c}, outside 1..{k}"
                 )
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise CodecError(
-                "color-order",
-                f"colors[{v}] must be sorted ascending with no duplicates",
-            )
-        sets.append(vals)
-    return sets
+        m = 0
+        for c in vals:
+            if m >> (c - 1):  # c is at most a color already listed
+                raise CodecError(
+                    "color-order",
+                    f"colors[{v}] must be sorted ascending with no duplicates",
+                )
+            m |= 1 << (c - 1)
+        masks.append(m)
+    return Multicoloring(k, masks)
 
 
-def _check_edge(u: int, v: int, n: int, nbrs: list[int], at: str) -> None:
+def _check_edge(u: int, v: int, n: int, closed: list[int], at: str) -> None:
     """Validate edge {u, v} against the vertex count and the edges before it,
-    which `nbrs` holds as per-vertex neighbor masks, then record it there.
-    `at` names the edge's place in the document ("edge #i" or "line i")."""
+    which `closed` holds as per-vertex closed-neighborhood masks, then write
+    it there. `at` names the edge's place in the document ("edge #i" or
+    "line i")."""
     if not (0 <= u < n and 0 <= v < n):
         raise CodecError("index-range", f"{at}: [{u}, {v}] out of range 0..{n - 1}")
     if u == v:
         raise CodecError("self-loop", f"{at}: self-loop at {u}")
-    if nbrs[u] >> v & 1:
+    if closed[u] >> v & 1:
         raise CodecError("duplicate-edge", f"{at}: [{u}, {v}] repeats")
-    nbrs[u] |= 1 << v
-    nbrs[v] |= 1 << u
+    closed[u] |= 1 << v
+    closed[v] |= 1 << u
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -192,30 +205,17 @@ def decode_instance(text: str) -> ColoredInstance:
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise CodecError("schema", "field 'edges' must be a list of [u, v] pairs")
-    edges: list[tuple[int, int]] = []
-    nbrs = [0] * n
+    closed = [1 << u for u in range(n)]
     for pos, e in enumerate(raw_edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise CodecError("schema", f"edge #{pos} must be a [u, v] pair")
         u = _require_int(e[0], f"edges[{pos}][0]")
         v = _require_int(e[1], f"edges[{pos}][1]")
-        _check_edge(u, v, n, nbrs, f"edge #{pos}")
-        edges.append((u, v))
-
-    raw_colors = obj["colors"]
-    if not isinstance(raw_colors, list):
-        raise CodecError("schema", "field 'colors' must be a list of color lists")
-    if len(raw_colors) != n:
-        raise CodecError(
-            "length-mismatch",
-            f"'colors' has {len(raw_colors)} entries but n = {n}",
-        )
-    sets = _color_lists(raw_colors, k)
-
-    graph = Graph(n, edges)
-    kappa = Multicoloring.from_sets(k, sets)
+        _check_edge(u, v, n, closed, f"edge #{pos}")
+    kappa = _coloring(obj["colors"], k, n)
     return ColoredInstance(
-        name=name, graph=graph, coloring=kappa, attackers=attackers
+        name=name, graph=Graph._from_closed(n, tuple(closed)), coloring=kappa,
+        attackers=attackers,
     )
 
 
@@ -239,16 +239,14 @@ def decode_edge_list(text: str) -> Graph:
         raise CodecError(
             "syntax", f"expected {m} edge lines, found {len(lines) - 1}"
         )
-    edges: list[tuple[int, int]] = []
-    nbrs = [0] * n
+    closed = [1 << u for u in range(n)]
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2:
             raise CodecError("syntax", f"line {lineno}: expected 'u v'")
         u, v = _integers(parts, f"line {lineno}: expected two integers")
-        _check_edge(u, v, n, nbrs, f"line {lineno}")
-        edges.append((u, v))
-    return Graph(n, edges)
+        _check_edge(u, v, n, closed, f"line {lineno}")
+    return Graph._from_closed(n, tuple(closed))
 
 
 def decode_coloring(text: str) -> Multicoloring:
@@ -266,9 +264,4 @@ def decode_coloring(text: str) -> Multicoloring:
         raise CodecError("schema", f"unknown field(s): {', '.join(sorted(unknown))}")
     if "k" not in obj or "colors" not in obj:
         raise CodecError("schema", "coloring needs fields 'k' and 'colors'")
-    k = _require_palette(obj["k"])
-    raw_colors = obj["colors"]
-    if not isinstance(raw_colors, list):
-        raise CodecError("schema", "field 'colors' must be a list of color lists")
-    sets = _color_lists(raw_colors, k)
-    return Multicoloring.from_sets(k, sets)
+    return _coloring(obj["colors"], _require_palette(obj["k"]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Multicoloring
-from .graph import Graph, complete, cycle, disjoint_union, path
+from .graph import MAX_VERTICES, Graph, complete, cycle, disjoint_union, path
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +48,17 @@ def clique_partition(a: int) -> ColoredInstance:
     Any attack of `a` vertices wipes out at most `a` cliques and an intact
     clique holds all a+1 colors, while `a` vertices carry at most `a`
     distinct singleton colors, so the instance is highly a-resistant with
-    n = (a+1)^2 vertices and k = a+1 colors.
+    n = (a+1)^2 vertices and k = a+1 colors. An a with n above
+    `MAX_VERTICES` is refused before anything is built, since the codec
+    would refuse the instance's document.
     """
     if a < 1:
         raise ValueError("attack size must be at least 1")
+    if (a + 1) ** 2 > MAX_VERTICES:
+        raise ValueError(
+            f"clique-partition:{a} has {(a + 1) ** 2} vertices, over the limit "
+            f"of {MAX_VERTICES}"
+        )
     size = a + 1
     g = complete(size)
     for _ in range(a):

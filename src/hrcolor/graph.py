@@ -9,13 +9,20 @@ edge list, neighbor tuples and degrees are derived from these masks on
 request. `Graph(n, edges)` checks every edge it is given; `from_pair_bits`
 writes the masks straight from a bit string over the pairs, whose fixed
 layout cannot name a bad edge, so it checks only the vertex count and the
-width of the bits.
+width of the bits. The codec's decoders likewise write each edge into the
+masks as they check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+#: Largest vertex count a document may declare or a construction may build.
+#: Decoding a graph allocates per-vertex structures before any edge is read,
+#: so the codec refuses a larger count up front (code "too-large"), and
+#: `constructions` refuses to build what the codec would refuse to read.
+MAX_VERTICES = 4096
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -149,7 +156,12 @@ class Graph:
     @classmethod
     def _from_closed(cls, n: int, closed: tuple[int, ...]) -> "Graph":
         """A graph from masks already known to be valid closed
-        neighborhoods on n vertices; nothing is checked."""
+        neighborhoods on n vertices; nothing is checked.
+
+        Its callers build the masks under their own checks:
+        `from_pair_bits`, whose pair layout cannot name a bad edge, and the
+        codec's decoders, which check each edge as they write it in.
+        """
         g = object.__new__(cls)
         g.n = n
         g._closed = closed

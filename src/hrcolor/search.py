@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterator
 
 from . import constructions
-from .checker import check_highly, check_hr
+from .checker import _check_attack_size, check_highly, check_hr
 from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks, from_pair_bits
 
@@ -148,11 +148,6 @@ def canonical_class_sequences(
     yield from rec(0)
 
 
-def _check_attack_size(n: int, a: int) -> None:
-    if not 1 <= a <= n:
-        raise ValueError(f"attack size must satisfy 1 <= a <= {n}, got {a}")
-
-
 def _attack_component_masks(g: Graph, a: int) -> list[list[int]]:
     """For every attack set in rank order, the masks of the surviving
     components; resistance requires some component to intersect every class."""
@@ -213,52 +208,52 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
         seen.setdefault(large, None)
     attacks = sorted(([*t] for t in seen), key=lambda c: (len(c), c))
 
+    # depth-first over nondecreasing class sequences, with an explicit stack
+    # so that the depth, up to k, is not bounded by Python's recursion limit:
+    # `chosen` holds the classes decided so far and `viables[d]` the attack
+    # lists that survive the first d of them
     limit = 1 << g.n
     nodes = 0
-    over = False
-    found: Multicoloring | None = None
-    stack: list[int] = []
-
-    def rec(lo: int, viable: list[list[int]]) -> bool:
-        nonlocal nodes, over, found
+    chosen: list[int] = []
+    viables = [attacks]
+    lo = 1
+    while True:
+        viable = viables[-1]
+        leaf = len(chosen) == k - 1
         for m in range(lo, limit):
             if nodes >= budget:
-                over = True
-                return True
+                return Decision(UNKNOWN, None, nodes, budget)
             nodes += 1
-            filtered: list[list[int]] = []
-            dead = False
-            for comps in viable:
-                still = [c for c in comps if c & m]
-                if not still:
-                    dead = True
-                    break
-                filtered.append(still)
-            if dead:
-                continue
-            stack.append(m)
-            if len(stack) == k:
-                # viability already forces a full-color component for every
-                # attack, so only the hold condition remains open; the full
-                # checker confirms the one candidate that survives it
-                kappa = from_class_masks(g.n, k, stack)
-                if check_hr(g, kappa, a)[0] and check_highly(g, kappa, a).highly_resistant:
-                    found = kappa
-                    stack.pop()
-                    return True
+            if chosen and m == chosen[-1]:
+                # every listed component already meets m, so the lists are
+                # shared, not copied: a run of one repeated class keeps one
+                filtered = viable
             else:
-                if rec(m, filtered):
-                    stack.pop()
-                    return True
-            stack.pop()
-        return False
-
-    rec(1, attacks)
-    if over:
-        return Decision(UNKNOWN, None, nodes, budget)
-    if found is not None:
-        return Decision(SAT, found, nodes, budget)
-    return Decision(UNSAT, None, nodes, budget)
+                filtered = []
+                for comps in viable:
+                    still = [c for c in comps if c & m]
+                    if not still:
+                        break
+                    filtered.append(still)
+                if len(filtered) < len(viable):
+                    continue  # some attack has no component left
+            if not leaf:
+                break
+            # viability already forces a full-color component for every
+            # attack, so only the hold condition remains open; the full
+            # checker confirms the one candidate that survives it
+            kappa = from_class_masks(g.n, k, [*chosen, m])
+            if check_hr(g, kappa, a)[0] and check_highly(g, kappa, a).highly_resistant:
+                return Decision(SAT, kappa, nodes, budget)
+        else:
+            if not chosen:
+                return Decision(UNSAT, None, nodes, budget)
+            viables.pop()
+            lo = chosen.pop() + 1
+            continue
+        chosen.append(m)
+        viables.append(filtered)
+        lo = m
 
 
 def min_colors(g: Graph, a: int, k_max: int, budget: int = 10**6) -> MinColorsResult:

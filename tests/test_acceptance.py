@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 
 from hrcolor.checker import check_highly, check_hr, check_resistant
-from hrcolor.cli import render_check_report
+from hrcolor.cli import main
 from hrcolor.codec import decode_instance, encode_instance
 from hrcolor.coloring import Multicoloring, extend_palette, extend_vertex
 from hrcolor.constructions import (
@@ -226,24 +226,26 @@ def test_criterion_10_codec_round_trips():
     print(f"criterion 10: PASS catalog and 1000 random instances round-trip byte-stably, {dt:.1f}s")
 
 
-def test_criterion_11_reports_identical_across_thread_counts():
+def test_criterion_11_reports_identical_across_thread_counts(tmp_path, capsys):
     t0 = time.perf_counter()
     cases = [(c7_pair(), 3), (c8c8p5(), 4)] + [
         (clique_partition(a), a) for a in range(1, 6)
     ]
     thread_counts = [1, 2, os.cpu_count() or 1]
     for inst, a in cases:
+        doc = tmp_path / f"{inst.name}.json"
+        doc.write_text(encode_instance(inst), encoding="utf-8")
         rendered = set()
         reports = []
         for t in thread_counts:
             rep = check_highly(inst.graph, inst.coloring, a, threads=t)
             reports.append(rep)
-            rendered.add(
-                render_check_report(
-                    rep, a=a, n=inst.graph.n, k=inst.palette_size,
-                    name=inst.name, threads=1, fmt="json",
-                ).encode("utf-8")
-            )
+            code = main(["check", "--instance", str(doc), "-a", str(a),
+                         "--format", "json", "--threads", str(t)])
+            out = capsys.readouterr().out
+            assert code == 0 and f'"threads": {t}}}' in out
+            # the report names its thread count; every other byte must agree
+            rendered.add(out.replace(f'"threads": {t}}}', '"threads": 1}').encode("utf-8"))
         assert len(rendered) == 1, inst.name
         assert reports[0] == reports[1] == reports[2]
     dt = _elapsed(t0)

@@ -55,6 +55,12 @@ class TestConstruct:
         inst = decode_instance(out)
         assert inst.graph.n == 25 and inst.coloring.palette_size == 5
 
+    def test_clique_partition_over_the_vertex_limit(self, capsys):
+        # (64+1)^2 = 4225 vertices is more than `check` would read back
+        rc, out, err = run(capsys, "construct", "--family", "clique-partition:64")
+        assert rc == 2 and out == ""
+        assert "4225 vertices" in err
+
     def test_unknown_family(self, capsys):
         rc, _, err = run(capsys, "construct", "--family", "paper-9")
         assert rc == 2
@@ -183,6 +189,13 @@ class TestSearch:
         assert obj["outcome"] == "sat"
         witness = decode_instance(json.dumps(obj["witness"]))
         assert check_highly(witness.graph, witness.coloring, 1).highly_resistant
+
+    def test_palette_deeper_than_the_recursion_limit(self, capsys, two_k2_edges):
+        rc, out, err = run(capsys, "search", "--graph", two_k2_edges, "-a", "1",
+                           "-k", "3000", "--format", "json")
+        assert rc == 0 and err == ""
+        report = json.loads(out)
+        assert report["outcome"] == "sat" and report["nodes_expanded"] == 3009
 
     def test_zero_budget_unknown(self, capsys, two_k2_edges):
         rc, out, _ = run(

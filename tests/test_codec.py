@@ -181,6 +181,48 @@ def test_first_edge_fault_in_document_order_is_reported():
     assert exc.value.code == "duplicate-edge" and "edge #1" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "decode, text, code, where",
+    [
+        # an edge fault wins over a color fault later in the document
+        (decode_instance,
+         '{"n": 2, "edges": [[0, 0]], "k": 1, "colors": [[5], []]}', "self-loop", "edge #0"),
+        # `colors` must be a list before its length means anything
+        (decode_instance, '{"n": 3, "edges": [], "k": 1, "colors": "ab"}', "schema", "colors"),
+        (decode_edge_list, "3 2\n0 5\nx y", "index-range", "line 2"),
+        # every entry of a list is range-checked before its order
+        (decode_instance, '{"n": 1, "edges": [], "k": 3, "colors": [[9, 1]]}',
+         "color-range", "9"),
+        # and every entry is an integer before any is range-checked
+        (decode_instance, '{"n": 1, "edges": [], "k": 3, "colors": [[9, "x"]]}',
+         "schema", "colors[0]"),
+        (decode_coloring, '{"k": 2, "colors": {"0": [1]}}', "schema", "colors"),
+    ],
+)
+def test_first_fault_precedence(decode, text, code, where):
+    with pytest.raises(CodecError) as exc:
+        decode(text)
+    assert exc.value.code == code and where in str(exc.value)
+
+
+def test_decoded_objects_equal_the_checked_constructors():
+    rng = random.Random(83)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        k = rng.randint(1, 10)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in random_edges(rng, n)]
+        rng.shuffle(edges)
+        sets = [sorted(rng.sample(range(1, k + 1), rng.randint(0, k))) for _ in range(n)]
+        graph = Graph(n, edges)
+        kappa = Multicoloring.from_sets(k, sets)
+        doc = {"n": n, "edges": [list(e) for e in edges], "k": k, "colors": sets}
+        inst = decode_instance(json.dumps(doc))
+        assert inst.graph == graph and inst.coloring == kappa
+        lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+        assert decode_edge_list("\n".join(lines)) == graph
+        assert decode_coloring(json.dumps({"k": k, "colors": sets})) == kappa
+
+
 class TestDecodeColoring:
     def test_basic(self):
         kappa = decode_coloring('{"k": 2, "colors": [[1], [2], [1], [2]]}')

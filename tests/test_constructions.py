@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from hrcolor.checker import check_highly
 from hrcolor.coloring import classes, union_over
 from hrcolor.constructions import c7_pair, c8c8p5, catalog, clique_partition, instance
-from hrcolor.graph import VertexSet
+from hrcolor.graph import MAX_VERTICES, VertexSet
 
 
 class TestCliquePartition:
@@ -40,6 +41,13 @@ class TestCliquePartition:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             clique_partition(0)
+
+    @pytest.mark.parametrize("a", [64, 300, 10**12])
+    def test_refuses_more_vertices_than_a_document_may_declare_before_building(self, a):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_VERTICES}"):
+            clique_partition(a)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestC7Pair:

@@ -76,6 +76,13 @@ class TestDecide:
         d = decide(two_k2(), 1, 2, 10)
         assert d.outcome == UNKNOWN and d.nodes_expanded == 10
 
+    def test_palette_deeper_than_the_recursion_limit(self):
+        # each of the k classes is one level of the search: 2K2 needs 9
+        # nodes to place the first class and one per class after it
+        d = decide(two_k2(), 1, 3000, 10**6)
+        assert d.outcome == SAT and d.nodes_expanded == 3009
+        assert check_highly(two_k2(), d.witness, 1).highly_resistant
+
     def test_validation(self):
         with pytest.raises(ValueError):
             decide(two_k2(), 0, 2, 10)
