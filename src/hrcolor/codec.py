@@ -11,11 +11,12 @@ Two formats are supported, both UTF-8 with LF line endings:
 
 Encoding is canonical: the same value always produces the same bytes.
 
-Decoding checks each value once and reports the first fault it meets as
-a `CodecError`. Each checked edge is written straight into the
-closed-neighborhood masks that become the `Graph` (through
-`Graph._from_closed`, which checks nothing again), and each checked color
-list straight into its vertex's color mask.
+Decoding reports the first fault it meets as a `CodecError`. Each edge
+is checked once and written straight into the closed-neighborhood masks
+that become the `Graph` (through `Graph._from_closed`, which checks
+nothing again). Each color is checked once and written straight into its
+vertex's color mask; `Multicoloring.__init__` then range-checks each mask
+once more.
 """
 
 from __future__ import annotations

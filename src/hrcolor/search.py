@@ -224,19 +224,14 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
             if nodes >= budget:
                 return Decision(UNKNOWN, None, nodes, budget)
             nodes += 1
-            if chosen and m == chosen[-1]:
-                # every listed component already meets m, so the lists are
-                # shared, not copied: a run of one repeated class keeps one
-                filtered = viable
-            else:
-                filtered = []
-                for comps in viable:
-                    still = [c for c in comps if c & m]
-                    if not still:
-                        break
-                    filtered.append(still)
-                if len(filtered) < len(viable):
-                    continue  # some attack has no component left
+            filtered = []
+            for comps in viable:
+                still = [c for c in comps if c & m]
+                if not still:
+                    break
+                filtered.append(still)
+            if len(filtered) < len(viable):
+                continue  # some attack has no component left
             if not leaf:
                 break
             # viability already forces a full-color component for every
