@@ -10,7 +10,9 @@ request. `Graph(n, edges)` checks every edge it is given; `from_pair_bits`
 writes the masks straight from a bit string over the pairs, whose fixed
 layout cannot name a bad edge, so it checks only the vertex count and the
 width of the bits. The codec's decoders likewise write each edge into the
-masks as they check it.
+masks as they check it, and the shape builders (`path`, `cycle`,
+`complete`, `disjoint_union`) write masks fixed by the shape, so that a
+large construction costs time linear in its masks.
 """
 
 from __future__ import annotations
@@ -159,8 +161,10 @@ class Graph:
         neighborhoods on n vertices; nothing is checked.
 
         Its callers build the masks under their own checks:
-        `from_pair_bits`, whose pair layout cannot name a bad edge, and the
-        codec's decoders, which check each edge as they write it in.
+        `from_pair_bits`, whose pair layout cannot name a bad edge, the
+        codec's decoders, which check each edge as they write it in, and
+        the shape builders (`path`, `cycle`, `complete`,
+        `disjoint_union`), whose masks are fixed by the shape.
         """
         g = object.__new__(cls)
         g.n = n
@@ -276,28 +280,33 @@ def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    closed = [*path(n).closed_masks]
+    closed[0] |= 1 << (n - 1)
+    closed[n - 1] |= 1
+    return Graph._from_closed(n, tuple(closed))
 
 
 def path(n: int) -> Graph:
     """Path on n vertices in index order."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    # vertex u's closed neighborhood is u-1, u, u+1, clipped to 0..n-1
+    full = (1 << n) - 1
+    return Graph._from_closed(n, tuple((7 << u >> 1) & full for u in range(n)))
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n vertices."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph._from_closed(n, ((1 << n) - 1,) * n)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; vertices of g2 are shifted up by g1.n."""
     shift = g1.n
-    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
-    return Graph(g1.n + g2.n, edges)
+    closed = g1.closed_masks + tuple(m << shift for m in g2.closed_masks)
+    return Graph._from_closed(g1.n + g2.n, closed)
 
 
 def add_isolated_vertex(g: Graph) -> Graph:

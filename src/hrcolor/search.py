@@ -5,8 +5,18 @@ which visits exactly one representative per color-class multiset and so
 breaks the k! color-permutation symmetry. Branches die when some attack
 provably cannot be served: a full-color component must intersect every
 class, so once every surviving component of some attack misses a decided
-class, no completion can work. Surviving leaves are confirmed by the
-exhaustive checker.
+class, no completion can work. Each candidate class is tested with ANDs
+against per-depth masks, not by building a coloring:
+
+- Resistance: a class m meets some component of an attack's list iff it
+  meets the union of that list, so m is viable iff it meets every union.
+- Hold: with k-1 classes decided, let `cover` be the union of the a-sets
+  that meet all of them. Some a-set holds all k colors iff it meets all k
+  classes, that is iff the last class m meets such an a-set, that is iff
+  m & cover != 0.
+
+The one leaf that passes both tests is confirmed by the exhaustive checker,
+so a SAT witness always replays through it.
 
 Existence over all palettes has an exact test (blocker duality, Edmonds &
 Fulkerson 1970): g admits some highly a-resistant multicoloring iff every
@@ -30,10 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import constructions
-from .checker import _check_attack_size, check_highly, check_hr
+from .checker import _check_attack_size, check_highly
 from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks, from_pair_bits
 
@@ -124,42 +134,19 @@ class KEntry:
         return self.n_lo <= n and (self.n_hi is None or n <= self.n_hi)
 
 
-def canonical_class_sequences(
-    num_vertices: int, palette_size: int
-) -> Iterator[tuple[int, ...]]:
-    """All nondecreasing length-k sequences of class masks over 2^n values.
-
-    Yields exactly one representative per size-k multiset of vertex subsets,
-    comb(2^n + k - 1, k) sequences in total. Used to cross-check the
-    search's symmetry breaking; decide() itself prunes on top of this order.
-    """
-    limit = 1 << num_vertices
-    seq: list[int] = []
-
-    def rec(lo: int) -> Iterator[tuple[int, ...]]:
-        if len(seq) == palette_size:
-            yield tuple(seq)
-            return
-        for m in range(lo, limit):
-            seq.append(m)
-            yield from rec(m)
-            seq.pop()
-
-    yield from rec(0)
-
-
-def _attack_component_masks(g: Graph, a: int) -> list[list[int]]:
+def _attack_component_masks(g: Graph, a: int) -> Iterator[list[int]]:
     """For every attack set in rank order, the masks of the surviving
-    components; resistance requires some component to intersect every class."""
+    components; resistance requires some component to intersect every class.
+
+    A generator, so that a caller can stop at the first attack it needs.
+    """
     closed = g.closed_masks
     all_mask = g.full_mask
-    out: list[list[int]] = []
     for attack in combinations(range(g.n), a):
         rm = 0
         for u in attack:
             rm |= closed[u]
-        out.append(component_masks(closed, all_mask & ~rm))
-    return out
+        yield component_masks(closed, all_mask & ~rm)
 
 
 def blocking_attack(g: Graph, a: int) -> tuple[int, ...] | None:
@@ -177,14 +164,30 @@ def blocking_attack(g: Graph, a: int) -> tuple[int, ...] | None:
     return None
 
 
+def _ors(lists: list[Sequence[int]]) -> list[int]:
+    """The union of each attack list's components, distinct and smallest
+    first: a class meets some component of a list iff it meets the union."""
+    out = set()
+    for comps in lists:
+        u = 0
+        for c in comps:
+            u |= c
+        out.add(u)
+    return sorted(out, key=int.bit_count)
+
+
 def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     """Decide whether g admits a highly a-resistant k-multicoloring.
 
     Classes are chosen in nondecreasing mask order and must be nonempty
     (an unused color can never appear in a surviving component). A branch
     is cut as soon as some attack has no surviving component of more than
-    `a` vertices intersecting all decided classes. Leaves are confirmed
-    with check_highly, so a SAT witness always replays through the checker.
+    `a` vertices intersecting all decided classes. Each candidate class is
+    tested against the unions of the attack lists and, for the last class,
+    against `cover`, as the module docstring proves; the filtered lists
+    are built only when the search descends. The one leaf that passes both
+    tests is confirmed with check_highly, so a SAT witness always replays
+    through the checker.
     """
     _check_attack_size(g.n, a)
     if k < 1:
@@ -198,56 +201,54 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     # a component of at most `a` vertices padded to exactly `a` would hold
     # every color, so it never serves an attack; an attack left with no
     # larger component blocks every palette. Only distinct lists are kept:
-    # identical lists impose identical constraints, and short lists fail
-    # fastest
+    # identical lists impose identical constraints
     seen: dict[tuple[int, ...], None] = {}
     for comps in _attack_component_masks(g, a):
-        large = tuple(sorted(c for c in comps if c.bit_count() > a))
+        large = tuple(c for c in comps if c.bit_count() > a)
         if not large:
             return Decision(UNSAT, None, 0, budget)
         seen.setdefault(large, None)
-    attacks = sorted(([*t] for t in seen), key=lambda c: (len(c), c))
+    attacks = list(seen)
+    a_sets = [sum(1 << u for u in s) for s in combinations(range(g.n), a)]
 
     # depth-first over nondecreasing class sequences, with an explicit stack
     # so that the depth, up to k, is not bounded by Python's recursion limit:
-    # `chosen` holds the classes decided so far and `viables[d]` the attack
-    # lists that survive the first d of them
+    # `chosen` holds the classes decided so far, and `levels[d]` the attack
+    # lists that survive the first d of them, their unions, and the a-sets
+    # that meet all d
     limit = 1 << g.n
     nodes = 0
     chosen: list[int] = []
-    viables = [attacks]
+    levels = [(attacks, _ors(attacks), a_sets)]
     lo = 1
     while True:
-        viable = viables[-1]
+        lists, ors, holding = levels[-1]
         leaf = len(chosen) == k - 1
+        cover = 0
+        if leaf:
+            for s in holding:
+                cover |= s
         for m in range(lo, limit):
             if nodes >= budget:
                 return Decision(UNKNOWN, None, nodes, budget)
             nodes += 1
-            filtered = []
-            for comps in viable:
-                still = [c for c in comps if c & m]
-                if not still:
-                    break
-                filtered.append(still)
-            if len(filtered) < len(viable):
-                continue  # some attack has no component left
+            # m must keep the hold condition and meet every list's union
+            if m & cover or not all(u & m for u in ors):
+                continue
             if not leaf:
                 break
-            # viability already forces a full-color component for every
-            # attack, so only the hold condition remains open; the full
-            # checker confirms the one candidate that survives it
             kappa = from_class_masks(g.n, k, [*chosen, m])
-            if check_hr(g, kappa, a)[0] and check_highly(g, kappa, a).highly_resistant:
+            if check_highly(g, kappa, a).highly_resistant:
                 return Decision(SAT, kappa, nodes, budget)
         else:
             if not chosen:
                 return Decision(UNSAT, None, nodes, budget)
-            viables.pop()
+            levels.pop()
             lo = chosen.pop() + 1
             continue
         chosen.append(m)
-        viables.append(filtered)
+        lists = [[c for c in comps if c & m] for comps in lists]
+        levels.append((lists, _ors(lists), [s for s in holding if s & m]))
         lo = m
 
 

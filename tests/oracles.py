@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from typing import Iterator
 
 
 def naive_components(vertices: list[int], edges: list[tuple[int, int]]) -> list[set[int]]:
@@ -124,6 +125,49 @@ def raw_search_exists(n: int, edges: list[tuple[int, int]], a: int, k: int):
                 break
         if resistant:
             return list(assignment)
+    return None
+
+
+def canonical_class_sequences(
+    num_vertices: int, palette_size: int
+) -> Iterator[tuple[int, ...]]:
+    """All nondecreasing length-k sequences of class masks over 2^n values,
+    in lexicographic order.
+
+    Yields exactly one representative per size-k multiset of vertex subsets,
+    comb(2^n + k - 1, k) sequences in total. A class mask names a vertex
+    subset as an integer, the only place masks appear here besides the raw
+    search's per-coloring checks; the enumeration is the reference for the
+    order in which the search visits colorings.
+    """
+    limit = 1 << num_vertices
+    seq: list[int] = []
+
+    def rec(lo: int) -> Iterator[tuple[int, ...]]:
+        if len(seq) == palette_size:
+            yield tuple(seq)
+            return
+        for m in range(lo, limit):
+            seq.append(m)
+            yield from rec(m)
+            seq.pop()
+
+    yield from rec(0)
+
+
+def first_canonical_coloring(
+    n: int, edges: list[tuple[int, int]], a: int, k: int
+) -> tuple[int, ...] | None:
+    """The first sequence of `canonical_class_sequences(n, k)` with no empty
+    class whose coloring (color i+1 on the vertices of class i) both naive
+    checkers accept at attack size a, or None when there is none."""
+    for seq in canonical_class_sequences(n, k):
+        if 0 in seq:
+            continue
+        colors = [{i + 1 for i, c in enumerate(seq) if c >> v & 1} for v in range(n)]
+        if (naive_check_hr(n, edges, k, colors, a)[0]
+                and naive_check_resistant(n, edges, k, colors, a)[0]):
+            return seq
     return None
 
 

@@ -6,7 +6,7 @@ from hrcolor import constructions
 from hrcolor.checker import check_highly
 from hrcolor.coloring import classes, union_over
 from hrcolor.constructions import c7_pair, c8c8p5, catalog, clique_partition, instance
-from hrcolor.graph import MAX_VERTICES, VertexSet
+from hrcolor.graph import MAX_VERTICES, Graph, VertexSet
 
 
 class TestCliquePartition:
@@ -32,6 +32,15 @@ class TestCliquePartition:
             cls = cc.vertex_class(color)
             assert len(cls) == size
             assert sorted(v // size for v in cls) == list(range(size))
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_graph_matches_a_checked_edge_list(self, a):
+        size = a + 1
+        edges = [
+            (b * size + i, b * size + j)
+            for b in range(size) for i in range(size) for j in range(i + 1, size)
+        ]
+        assert clique_partition(a).graph == Graph(size * size, edges)
 
     def test_smallest_member_is_two_k2(self):
         inst = clique_partition(1)

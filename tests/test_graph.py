@@ -98,6 +98,16 @@ class TestBuilders:
         assert complete(4).num_edges() == 6
         assert complete(1).num_edges() == 0
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_mask_builders_match_checked_edge_lists(self, n):
+        # the builders write closed masks directly; Graph(n, edges) checks
+        # and writes every edge of the same shape one at a time
+        line = [(i, i + 1) for i in range(n - 1)]
+        assert path(n) == Graph(n, line)
+        assert complete(n) == Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        if n >= 3:
+            assert cycle(n) == Graph(n, line + [(0, n - 1)])
+
 
 class TestClosedNeighborhood:
     def test_cycle_vertex(self):
@@ -165,6 +175,15 @@ class TestTransforms:
     def test_disjoint_union_identity(self):
         g = cycle(5)
         assert disjoint_union(g, Graph(0)) == g
+
+    def test_disjoint_union_matches_the_shifted_edge_list(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n1, n2 = rng.randint(0, 6), rng.randint(0, 6)
+            e1 = [(u, v) for u in range(n1) for v in range(u + 1, n1) if rng.random() < 0.5]
+            e2 = [(u, v) for u in range(n2) for v in range(u + 1, n2) if rng.random() < 0.5]
+            g = disjoint_union(Graph(n1, e1), Graph(n2, e2))
+            assert g == Graph(n1 + n2, e1 + [(u + n1, v + n1) for u, v in e2])
 
     def test_add_isolated_vertex(self):
         g = add_isolated_vertex(Graph(2, [(0, 1)]))

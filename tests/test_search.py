@@ -1,21 +1,28 @@
+import hashlib
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import hrcolor
 from hrcolor import search
-from hrcolor.checker import check_highly
-from hrcolor.coloring import Multicoloring, canonical_form
+from hrcolor.checker import check_highly, check_hr
+from hrcolor.coloring import Multicoloring, canonical_form, classes, from_class_masks
 from hrcolor.constructions import catalog, clique_partition
-from hrcolor.graph import Graph, complete, cycle
+from hrcolor.graph import Graph, complete, cycle, from_pair_bits
 from hrcolor.search import (
     SAT,
     UNKNOWN,
     UNSAT,
     blocking_attack,
-    canonical_class_sequences,
     certify_table_row,
     decide,
     exhaustive_nonexistence,
@@ -26,6 +33,8 @@ from hrcolor.search import (
 
 from oracles import (
     _attacked,
+    canonical_class_sequences,
+    first_canonical_coloring,
     naive_check_hr,
     naive_check_resistant,
     naive_components,
@@ -105,6 +114,85 @@ class TestDecide:
                     assert decide(g, a, k + 1, 10**6).outcome == SAT
 
 
+def decide_digest() -> str:
+    """sha256 over (n, bits, a, k, budget, outcome, nodes, witness masks)
+    for every labeled graph on n <= 4 vertices, a <= n, k <= 4 and four
+    budgets; the graph is `from_pair_bits(n, bits)`."""
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        for bits in range(1 << n * (n - 1) // 2):
+            g = from_pair_bits(n, bits)
+            for a in range(1, n + 1):
+                for k in range(1, 5):
+                    for budget in (0, 3, 50, 10**6):
+                        d = decide(g, a, k, budget)
+                        w = None if d.witness is None else d.witness.masks
+                        key = (n, bits, a, k, budget, d.outcome, d.nodes_expanded, w)
+                        h.update(repr(key).encode())
+    return h.hexdigest()
+
+
+class TestDecidePinned:
+    """Outcomes, node counts and witnesses recorded from the search that
+    built a coloring and ran the checker on every leaf candidate."""
+
+    def test_small_graph_digest(self):
+        assert decide_digest() == (
+            "310eba25c83e2f4e3f35c4c8b71ac09d7c0674a9d84f2798d449b011139f82be"
+        )
+
+    def test_clique_partition_two(self):
+        d = decide(clique_partition(2).graph, 2, 3, 10**6)
+        assert d.outcome == SAT and d.nodes_expanded == 23_453
+        assert d.witness.masks == (1, 2, 4, 1, 2, 4, 1, 2, 4)
+
+    def test_cover_identity_matches_the_hold_checker(self):
+        # a last class m lets some a-set hold every color iff m meets the
+        # union of the a-sets that meet every earlier class
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(5, 7)
+            g = from_pair_bits(n, rng.getrandbits(n * (n - 1) // 2))
+            a = rng.randint(1, n)
+            k = rng.randint(2, 4)
+            class_masks = [rng.getrandbits(n) for _ in range(k)]
+            *earlier, m = class_masks
+            cover = 0
+            for s in combinations(range(n), a):
+                mask = sum(1 << u for u in s)
+                if all(mask & c for c in earlier):
+                    cover |= mask
+            kappa = from_class_masks(n, k, class_masks)
+            assert (m & cover == 0) == check_hr(g, kappa, a)[0]
+
+
+class TestWideGraphs:
+    def test_blocking_attack_stops_at_the_first_attack(self):
+        # C(64, 7) is about 6.2e8 attacks; the first one already blocks
+        assert blocking_attack(Graph(64), 7) == tuple(range(7))
+
+    def test_search_refuses_without_listing_every_attack(self, tmp_path):
+        doc = tmp_path / "empty64.edges"
+        doc.write_text("64 0\n", encoding="utf-8")
+        src = Path(hrcolor.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        cap = 1 << 30  # listing every attack would need far more than 1 GiB
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrcolor", "search", "--graph", str(doc),
+             "-a", "7", "-k", "8", "--budget", "10", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["outcome"] == UNSAT and report["nodes_expanded"] == 0
+
+
 class TestCanonicalSequences:
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_count_matches_multiset_coefficient(self, n, k):
@@ -113,6 +201,28 @@ class TestCanonicalSequences:
         # nondecreasing, and one representative per multiset
         assert all(all(s[i] <= s[i + 1] for i in range(k - 1)) for s in seqs)
         assert len({tuple(sorted(s)) for s in seqs}) == len(seqs)
+
+    def test_sat_witness_is_the_first_canonical_coloring(self):
+        # the search visits nonempty classes in the oracle's order, so its
+        # witness is the first sequence both naive checkers accept
+        cases = sats = 0
+        for n in range(1, 5):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+                g = Graph(n, edges)
+                for a in range(1, min(n, 2) + 1):
+                    for k in range(a + 1, 4):
+                        expected = first_canonical_coloring(n, edges, a, k)
+                        d = decide(g, a, k, 10**6)
+                        if expected is None:
+                            assert d.outcome == UNSAT, (n, edges, a, k)
+                        else:
+                            assert d.outcome == SAT, (n, edges, a, k)
+                            assert classes(d.witness).class_masks == expected
+                            sats += 1
+                        cases += 1
+        assert (cases, sats) == (224, 6)
 
 
 class TestDecideAgainstRawEnumeration:
