@@ -7,10 +7,13 @@ condition ("hr") when no `a` vertices jointly hold all colors. Both checks
 enumerate attack sets in ascending lexicographic order, so reported
 witnesses are the smallest failing sets.
 
-The exhaustive scan is a prefix-OR walk: each (a-1)-vertex prefix, in
-lexicographic order, ORs its closed-neighborhood and color masks once and
-is extended by every larger last vertex, so sets still come in rank
-order. Resistance needs one full-color connected part per attack, not
+The exhaustive scans are prefix-OR walks: each (a-1)-vertex prefix, in
+lexicographic order, ORs its masks once and is extended by every larger
+last vertex, so sets still come in rank order. The hold condition depends
+on the colors alone, so `_first_cover` walks color masks only and never
+reads the graph; the resistance scan `_scan` ORs closed-neighborhood
+masks, and in its fused mode (`check_highly`) color masks on the same
+pass. Resistance needs one full-color connected part per attack, not
 whole components, so the single flood fill `_full_color_part` stops at the
 first BFS level whose colors reach the palette and returns the part it
 flooded. An attack whose removed mask misses the part the last resisted
@@ -37,6 +40,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb, log
+from typing import Sequence
 
 from .coloring import Multicoloring
 from .graph import Graph, VertexSet
@@ -160,11 +164,32 @@ def _full_color_part(
     return 0
 
 
+def _first_cover(colors: Sequence[int], full: int, a: int) -> tuple[int, ...] | None:
+    """The first set of `a` vertices in rank order whose color masks
+    together hold the whole palette `full`, or None when no `a` vertices do.
+
+    The hold condition reads colors only, never the graph. Each (a-1)-vertex
+    prefix ORs its masks once and is extended by every larger last vertex,
+    so sets come in rank order as in `_scan`.
+    """
+    n = len(colors)
+    for prefix in combinations(range(n - 1), a - 1):
+        lo = prefix[-1] + 1 if prefix else 0
+        cm = 0
+        for u in prefix:
+            cm |= colors[u]
+        for v in range(lo, n):
+            if cm | colors[v] == full:
+                return (*prefix, v)
+    return None
+
+
 def _scan(
-    g: Graph, kappa: Multicoloring, a: int, want_hr: bool, want_res: bool
+    g: Graph, kappa: Multicoloring, a: int, fused: bool
 ) -> tuple[_Found | None, _Found | None]:
     """Scan all C(n, a) attack sets in rank order and return the first
-    hold-condition failure and the first resistance failure.
+    hold-condition failure (None unless `fused`) and the first resistance
+    failure.
 
     An attack passes resistance without further work when its removed mask
     misses `part`, the full-color part the last resisted attack left whole
@@ -173,7 +198,9 @@ def _scan(
     is flooded. `parts` holds the parts the fills returned, most recent
     first, at most `_RECENT_PARTS` of them; each is a connected full-color
     set, so any attack that misses one resists. Stops early once every
-    wanted failure kind has been seen.
+    wanted failure kind has been seen. The fused mode tests the hold
+    condition on the same pass, so `check_highly` can count the sets a
+    sequential scan needs to settle both verdicts.
     """
     n = g.n
     closed = g.closed_masks
@@ -182,8 +209,8 @@ def _scan(
     all_mask = g.full_mask
     hr_first: _Found | None = None
     res_first: _Found | None = None
-    need_hr = want_hr
-    need_res = want_res
+    need_hr = fused
+    need_res = True
     parts: list[int] = []
     part = -1
     begin = 0  # rank of the first set extending the current prefix
@@ -234,10 +261,10 @@ def check_hr(
     callers that pass it, such as the bench tracer's `split_fused`.
     """
     _validate(g, kappa, a)
-    hr_first, _ = _scan(g, kappa, a, True, False)
-    if hr_first is None:
+    cover = _first_cover(kappa.masks, (1 << kappa.palette_size) - 1, a)
+    if cover is None:
         return True, None
-    return False, VertexSet.from_vertices(hr_first[1], g.n)
+    return False, VertexSet.from_vertices(cover, g.n)
 
 
 def check_resistant(
@@ -249,7 +276,7 @@ def check_resistant(
     `threads` is ignored, as in `check_hr`.
     """
     _validate(g, kappa, a)
-    _, res_first = _scan(g, kappa, a, False, True)
+    _, res_first = _scan(g, kappa, a, False)
     if res_first is None:
         return True, None
     return False, VertexSet.from_vertices(res_first[1], g.n)
@@ -263,7 +290,7 @@ def check_highly(
     `threads` is ignored, as in `check_hr`.
     """
     _validate(g, kappa, a)
-    hr_first, res_first = _scan(g, kappa, a, True, True)
+    hr_first, res_first = _scan(g, kappa, a, True)
     if hr_first is not None and res_first is not None:
         examined = max(hr_first[0], res_first[0]) + 1
     else:
@@ -288,10 +315,9 @@ def lemma_disjunction(g: Graph, kappa: Multicoloring, a_hr: int, r: int) -> bool
     Both sizes are validated before either scan runs.
     """
     _validate(g, kappa, a_hr, r)
-    hr_first, _ = _scan(g, kappa, a_hr, True, False)
-    if hr_first is not None:
+    if _first_cover(kappa.masks, (1 << kappa.palette_size) - 1, a_hr) is not None:
         return True
-    _, res_first = _scan(g, kappa, r, False, True)
+    _, res_first = _scan(g, kappa, r, False)
     return res_first is not None
 
 

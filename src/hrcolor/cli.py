@@ -270,11 +270,13 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         "trials": report.trials,
         "seed": report.seed,
         "violations": report.violations,
+        "resistance_checked": report.resistance_checked,
     }
     human = (
         f"lemma {report.lemma_id} ({scope.description}): "
         f"trials={report.trials} seed={report.seed} "
-        f"violations={report.violations} {verdict.upper()}\n"
+        f"violations={report.violations} "
+        f"resistance_checked={report.resistance_checked} {verdict.upper()}\n"
     )
     code = _emit(args.format, obj, human, verdict)
     if report.violations:

@@ -6,14 +6,23 @@ and a resistance size; the underlying claim is that the disjunction
 scope, so a single surviving counterexample would falsify the source
 result. Trials are reproducible from (seed, trials): draws happen in a
 fixed order (size, edges, palette, density flag, color memberships).
+
+The hold condition reads colors only, so each trial is settled from its
+colors first: when some `a_hr` vertices hold the whole palette, the
+disjunction holds and the trial's graph is never built. Only a trial that
+passes the hold test builds its graph from the drawn bits (or takes the
+suite's fixed cycle) and runs the resistance scan; the report counts these
+trials as `resistance_checked`. The suite's sizes are checked once per
+run, against its smallest graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
-from .checker import lemma_disjunction
+from .checker import _check_attack_size, _first_cover, _scan
 from .coloring import Multicoloring
 from .graph import Graph, component_masks, cycle, from_pair_bits
 
@@ -70,6 +79,7 @@ class LemmaRunReport:
     seed: int
     violations: int
     first_violation: Violation | None
+    resistance_checked: int  # trials that passed the hold test
 
 
 def _is_cycle(g: Graph) -> bool:
@@ -80,9 +90,9 @@ def _is_cycle(g: Graph) -> bool:
     return len(component_masks(closed, g.full_mask)) == 1
 
 
-def _random_coloring(rng: random.Random, n: int, k: int, density: float) -> Multicoloring:
+def _random_masks(rng: random.Random, n: int, k: int, density: float) -> list[int]:
     if density == 0.5:
-        return Multicoloring(k, [rng.getrandbits(k) for _ in range(n)])
+        return [rng.getrandbits(k) for _ in range(n)]
     masks = []
     for _ in range(n):
         m = 0
@@ -90,27 +100,36 @@ def _random_coloring(rng: random.Random, n: int, k: int, density: float) -> Mult
             if rng.random() < density:
                 m |= 1 << c
         masks.append(m)
-    return Multicoloring(k, masks)
+    return masks
 
 
-def _sample_instance(
-    scope: LemmaScope, rng: random.Random, fixed: Graph | None
-) -> tuple[Graph, Multicoloring]:
-    """One trial's draws; `fixed` is the suite's cycle, or None to draw a graph."""
-    g = fixed
-    while g is None:
-        n = rng.randint(scope.n_lo, scope.n_hi)
-        g = from_pair_bits(n, rng.getrandbits(n * (n - 1) // 2))
-        if n == scope.excluded_cycle and _is_cycle(g):
-            g = None
-    k = scope.k_lo if scope.k_lo == scope.k_hi else rng.randint(scope.k_lo, scope.k_hi)
-    # one in ten trials probes sparse and dense colorings
-    if rng.random() < 0.1:
-        density = 0.25 if rng.random() < 0.5 else 0.75
-    else:
-        density = 0.5
-    kappa = _random_coloring(rng, g.n, k, density)
-    return g, kappa
+def _trials(
+    scope: LemmaScope, rng: random.Random, trials: int
+) -> Iterator[tuple[int, int | None, int, list[int]]]:
+    """Each trial's draws as (n, edge bits, palette size, color masks).
+
+    The bits are the graph's pairs in `from_pair_bits` order, or None for a
+    suite on its fixed cycle. An excluded cycle is redrawn; since every
+    n-cycle has exactly n edges, only a draw of that size with n bits set
+    is built to test it.
+    """
+    for _ in range(trials):
+        if scope.fixed_cycle is not None:
+            n, bits = scope.fixed_cycle, None
+        else:
+            while True:
+                n = rng.randint(scope.n_lo, scope.n_hi)
+                bits = rng.getrandbits(n * (n - 1) // 2)
+                if not (n == scope.excluded_cycle and bits.bit_count() == n
+                        and _is_cycle(from_pair_bits(n, bits))):
+                    break
+        k = scope.k_lo if scope.k_lo == scope.k_hi else rng.randint(scope.k_lo, scope.k_hi)
+        # one in ten trials probes sparse and dense colorings
+        if rng.random() < 0.1:
+            density = 0.25 if rng.random() < 0.5 else 0.75
+        else:
+            density = 0.5
+        yield n, bits, k, _random_masks(rng, n, k, density)
 
 
 def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
@@ -123,20 +142,34 @@ def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     scope = SCOPES[lemma_id]
-    rng = random.Random(seed)
+    # every trial graph has at least this many vertices
+    smallest = scope.n_lo if scope.fixed_cycle is None else scope.fixed_cycle
+    if scope.k_lo < 1:
+        raise ValueError("palette must contain at least one color")
+    _check_attack_size(smallest, scope.a_hr)
+    _check_attack_size(smallest, scope.r)
     fixed = None if scope.fixed_cycle is None else cycle(scope.fixed_cycle)
+    a_hr, r = scope.a_hr, scope.r
     violations = 0
+    checked = 0
     first: Violation | None = None
-    for t in range(trials):
-        g, kappa = _sample_instance(scope, rng, fixed)
-        if not lemma_disjunction(g, kappa, scope.a_hr, scope.r):
+    for t, (n, bits, k, masks) in enumerate(_trials(scope, random.Random(seed), trials)):
+        # a covering set fails the hold condition, so the trial holds
+        if _first_cover(masks, (1 << k) - 1, a_hr) is not None:
+            continue
+        checked += 1
+        g = fixed if bits is None else from_pair_bits(n, bits)
+        kappa = Multicoloring(k, masks)
+        _, res_first = _scan(g, kappa, r, False)
+        if res_first is None:  # resistant too: the disjunction fails
             violations += 1
             if first is None:
-                first = Violation(t, g, kappa, scope.a_hr, scope.r)
+                first = Violation(t, g, kappa, a_hr, r)
     return LemmaRunReport(
         lemma_id=lemma_id,
         trials=trials,
         seed=seed,
         violations=violations,
         first_violation=first,
+        resistance_checked=checked,
     )

@@ -486,6 +486,21 @@ def test_matches_naive_oracle_on_random_instances():
         assert (None if res_wit is None else res_wit.vertices()) == exp_wit
 
 
+def test_first_cover_matches_the_naive_hold_check():
+    # the color-only scan behind check_hr, lemma_disjunction and run_lemma:
+    # verdict and rank-first witness, with empty color sets, k = 1, a = 1
+    # and a = n among the draws
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        k = rng.choice((1, rng.randint(1, 5)))
+        color_sets = random_color_sets(rng, n, k, rng.choice((0.0, 0.25, 0.5, 0.75)))
+        masks = [sum(1 << (c - 1) for c in s) for s in color_sets]
+        for a in sorted({1, n, rng.randint(1, n)}):
+            cover = checker._first_cover(masks, (1 << k) - 1, a)
+            assert (cover is None, cover) == naive_check_hr(n, [], k, color_sets, a)
+
+
 def test_catalog_instances_agree_with_the_naive_reference():
     for inst, a in ((c7_pair(), 3), (c8c8p5(), 4)):
         n, edges = inst.graph.n, list(inst.graph.edges())

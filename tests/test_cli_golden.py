@@ -77,16 +77,18 @@ def run_case(case: str, fmt: str, directory: Path) -> dict:
     exit code and output streams."""
     argv = CASES[case] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
-    saved_dir, saved_check = os.getcwd(), lemmas.lemma_disjunction
+    saved_dir, saved_checks = os.getcwd(), (lemmas._first_cover, lemmas._scan)
     if case == "verify-lemma-violation":
-        lemmas.lemma_disjunction = lambda *args: False
+        # no covering set and no failing attack: every trial violates
+        lemmas._first_cover = lambda *args: None
+        lemmas._scan = lambda *args: (None, None)
     try:
         os.chdir(directory)
         with redirect_stdout(out), redirect_stderr(err):
             rc = cli.main(argv)
     finally:
         os.chdir(saved_dir)
-        lemmas.lemma_disjunction = saved_check
+        lemmas._first_cover, lemmas._scan = saved_checks
     return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
