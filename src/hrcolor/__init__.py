@@ -7,33 +7,12 @@ from .checker import (
     check_highly,
     check_hr,
     check_resistant,
-    lemma_disjunction,
     sample_check,
 )
 from .codec import CodecError, decode_coloring, decode_edge_list, decode_instance, encode_instance
-from .coloring import (
-    ColorClasses,
-    ColorSet,
-    Multicoloring,
-    canonical_form,
-    classes,
-    extend_palette,
-    extend_vertex,
-    from_classes,
-    has_all_colors,
-    union_over,
-)
+from .coloring import Multicoloring
 from .constructions import ColoredInstance, c7_pair, c8c8p5, catalog, clique_partition, instance
-from .graph import (
-    Graph,
-    VertexSet,
-    add_isolated_vertex,
-    complete,
-    cycle,
-    disjoint_union,
-    induced_subgraph,
-    path,
-)
+from .graph import Graph, VertexSet, complete, cycle, disjoint_union, path
 from .lemmas import LemmaRunReport, run_lemma
 from .search import (
     Decision,
@@ -43,7 +22,6 @@ from .search import (
     blocking_attack,
     decide,
     exhaustive_nonexistence,
-    k_lookup,
     k_table,
     min_colors,
 )
@@ -51,8 +29,6 @@ from .search import (
 __all__ = [
     "CheckReport",
     "CodecError",
-    "ColorClasses",
-    "ColorSet",
     "ColoredInstance",
     "Decision",
     "Graph",
@@ -63,16 +39,13 @@ __all__ = [
     "NonexistenceSummary",
     "SampleReport",
     "VertexSet",
-    "add_isolated_vertex",
     "blocking_attack",
     "c7_pair",
     "c8c8p5",
-    "canonical_form",
     "catalog",
     "check_highly",
     "check_hr",
     "check_resistant",
-    "classes",
     "clique_partition",
     "complete",
     "cycle",
@@ -83,20 +56,12 @@ __all__ = [
     "disjoint_union",
     "encode_instance",
     "exhaustive_nonexistence",
-    "extend_palette",
-    "extend_vertex",
-    "from_classes",
-    "has_all_colors",
-    "induced_subgraph",
     "instance",
-    "k_lookup",
     "k_table",
-    "lemma_disjunction",
     "min_colors",
     "path",
     "run_lemma",
     "sample_check",
-    "union_over",
 ]
 
 __version__ = "0.1.0"

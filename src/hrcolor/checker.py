@@ -30,7 +30,10 @@ draw, and reuses full-color parts the same way, so sampled counts and
 first failures are those of a plain loop over `random.Random.sample`.
 
 Scans are sequential: under CPython's GIL a thread pool gains no speed.
-The `threads` keyword of the check functions is accepted and ignored.
+`check_hr` and `check_resistant` still accept a `threads` keyword and
+ignore it, because the benchmark's tracer (`bench/tracing.py`) passes it
+when it re-times the two halves of a fused scan; it goes when the
+benchmark stops passing it.
 """
 
 from __future__ import annotations
@@ -116,16 +119,15 @@ def _check_attack_size(n: int, a: int) -> None:
         raise ValueError(f"attack size must satisfy 1 <= a <= {n}, got {a}")
 
 
-def _validate(g: Graph, kappa: Multicoloring, *sizes: int) -> None:
-    """Check the coloring against the graph, then each attack size in turn."""
+def _validate(g: Graph, kappa: Multicoloring, a: int) -> None:
+    """Check the coloring against the graph, then the attack size."""
     if len(kappa) != g.n:
         raise ValueError(
             f"coloring has {len(kappa)} entries for a graph on {g.n} vertices"
         )
     if kappa.palette_size < 1:
         raise ValueError("palette must contain at least one color")
-    for a in sizes:
-        _check_attack_size(g.n, a)
+    _check_attack_size(g.n, a)
 
 
 def _full_color_part(
@@ -257,8 +259,7 @@ def check_hr(
     """Check that no set of exactly `a` vertices holds every palette color.
 
     Returns (True, None) on success, else (False, smallest covering set).
-    `threads` selects nothing, since the scan is sequential; it stays for
-    callers that pass it, such as the bench tracer's `split_fused`.
+    `threads` is ignored (see the module docstring).
     """
     _validate(g, kappa, a)
     cover = _first_cover(kappa.masks, (1 << kappa.palette_size) - 1, a)
@@ -282,13 +283,8 @@ def check_resistant(
     return False, VertexSet.from_vertices(res_first[1], g.n)
 
 
-def check_highly(
-    g: Graph, kappa: Multicoloring, a: int, *, threads: int = 1
-) -> CheckReport:
-    """Run both conditions over one enumeration pass and report witnesses.
-
-    `threads` is ignored, as in `check_hr`.
-    """
+def check_highly(g: Graph, kappa: Multicoloring, a: int) -> CheckReport:
+    """Run both conditions over one enumeration pass and report witnesses."""
     _validate(g, kappa, a)
     hr_first, res_first = _scan(g, kappa, a, True)
     if hr_first is not None and res_first is not None:
@@ -304,21 +300,6 @@ def check_highly(
         ),
         attack_sets_examined=examined,
     )
-
-
-def lemma_disjunction(g: Graph, kappa: Multicoloring, a_hr: int, r: int) -> bool:
-    """True when the hold condition fails at size `a_hr` or the coloring is
-    not `r`-resistant.
-
-    This is the executable shape shared by the small-graph structure facts:
-    each of them asserts the disjunction for every coloring in its scope.
-    Both sizes are validated before either scan runs.
-    """
-    _validate(g, kappa, a_hr, r)
-    if _first_cover(kappa.masks, (1 << kappa.palette_size) - 1, a_hr) is not None:
-        return True
-    _, res_first = _scan(g, kappa, r, False)
-    return res_first is not None
 
 
 def substream_seed(seed: int, worker: int) -> int:

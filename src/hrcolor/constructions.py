@@ -31,10 +31,6 @@ class ColoredInstance:
     def palette_size(self) -> int:
         return self.coloring.palette_size
 
-    @property
-    def num_vertices(self) -> int:
-        return self.graph.n
-
 
 def _wrap(x: int, m: int) -> int:
     """Map x into the 1-based residue range 1..m."""

@@ -1,15 +1,15 @@
 """Simple undirected graphs with bit-mask vertex sets.
 
 Vertices are 0-based indices. Vertex subsets are stored as integer bit
-masks, so set algebra is exact and not capped at machine word size.
+masks, which are not capped at machine word size.
 
 A `Graph` stores one thing per vertex: its closed neighborhood N[u] as a
 bit mask, the form every attack reads (an attack by A removes N[A]). The
-edge list, neighbor tuples and degrees are derived from these masks on
-request. `Graph(n, edges)` checks every edge it is given; `from_pair_bits`
-writes the masks straight from a bit string over the pairs, whose fixed
-layout cannot name a bad edge, so it checks only the vertex count and the
-width of the bits. The codec's decoders likewise write each edge into the
+edge list and edge count are derived from these masks on request.
+`Graph(n, edges)` checks every edge it is given; `from_pair_bits` writes
+the masks straight from a bit string over the pairs, whose fixed layout
+cannot name a bad edge, so it checks only the vertex count and the width
+of the bits. The codec's decoders likewise write each edge into the
 masks as they check it, and the shape builders (`path`, `cycle`,
 `complete`, `disjoint_union`) write masks fixed by the shape, so that a
 large construction costs time linear in its masks.
@@ -73,33 +73,6 @@ class VertexSet:
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def _check_same_universe(self, other: "VertexSet") -> None:
-        if self.capacity != other.capacity:
-            raise ValueError("vertex sets live in different universes")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_universe(other)
-        return VertexSet(self.mask | other.mask, self.capacity)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_universe(other)
-        return VertexSet(self.mask & other.mask, self.capacity)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_universe(other)
-        return VertexSet(self.mask & ~other.mask, self.capacity)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(~self.mask & ((1 << self.capacity) - 1), self.capacity)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check_same_universe(other)
-        return self.mask & ~other.mask == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def __repr__(self) -> str:
         inner = ", ".join(str(v) for v in self)
@@ -171,10 +144,6 @@ class Graph:
         g._closed = closed
         return g
 
-    @property
-    def num_vertices(self) -> int:
-        return self.n
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (u, v) pairs with u < v, sorted."""
         return tuple(
@@ -183,19 +152,6 @@ class Graph:
 
     def num_edges(self) -> int:
         return (sum(m.bit_count() for m in self._closed) - self.n) // 2
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        self._check_vertex(u)
-        return tuple(_bits(self._closed[u] & ~(1 << u)))
-
-    def degree(self, u: int) -> int:
-        self._check_vertex(u)
-        return self._closed[u].bit_count() - 1
-
-    def adjacent(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._closed[u] >> v & 1) and u != v
 
     @property
     def closed_masks(self) -> tuple[int, ...]:
@@ -206,15 +162,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def _check_vertex(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range 0..{self.n - 1}")
-
-    def closed_neighborhood(self, u: int) -> VertexSet:
-        """The vertex u together with all its neighbors."""
-        self._check_vertex(u)
-        return VertexSet(self._closed[u], self.n)
-
     def closed_neighborhood_set(self, vertices: VertexSet) -> VertexSet:
         """Union of closed neighborhoods over the given set; empty for the empty set."""
         if vertices.capacity != self.n:
@@ -223,17 +170,6 @@ class Graph:
         for u in vertices:
             m |= self._closed[u]
         return VertexSet(m, self.n)
-
-    def surviving_components(self, removed: VertexSet) -> list[VertexSet]:
-        """Connected components of the subgraph induced on the non-removed vertices.
-
-        Components are listed in ascending order of their smallest vertex.
-        Returns an empty list when every vertex is removed.
-        """
-        if removed.capacity != self.n:
-            raise ValueError("vertex set capacity does not match graph size")
-        survivors = ~removed.mask & self.full_mask
-        return [VertexSet(m, self.n) for m in component_masks(self._closed, survivors)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -308,20 +244,3 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     closed = g1.closed_masks + tuple(m << shift for m in g2.closed_masks)
     return Graph._from_closed(g1.n + g2.n, closed)
 
-
-def add_isolated_vertex(g: Graph) -> Graph:
-    """Same edges, one extra vertex of degree 0."""
-    return Graph(g.n + 1, g.edges())
-
-
-def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
-    """Subgraph induced on `keep`, relabeled to 0..len(keep)-1 in ascending order."""
-    if keep.capacity != g.n:
-        raise ValueError("vertex set capacity does not match graph size")
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges()
-        if u in keep and v in keep
-    ]
-    return Graph(len(relabel), edges)

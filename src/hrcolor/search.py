@@ -130,9 +130,6 @@ class KEntry:
     instance_name: str | None = None
     note: str = ""
 
-    def covers(self, n: int) -> bool:
-        return self.n_lo <= n and (self.n_hi is None or n <= self.n_hi)
-
 
 def _attack_component_masks(g: Graph, a: int) -> Iterator[list[int]]:
     """For every attack set in rank order, the masks of the surviving
@@ -297,6 +294,9 @@ def exhaustive_nonexistence(
     _check_attack_size(n, a)
     if k_max < a + 1:
         raise ValueError("k_max must be at least a + 1")
+    # checked here too: a sweep whose graphs are all blocked never calls decide
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     total = 1 << n * (n - 1) // 2
     nodes = 0
     unknown_count = 0
@@ -358,14 +358,6 @@ def k_table(max_a: int = 4) -> list[KEntry]:
                note="at most 10 by adding isolated vertices to the 21-vertex instance"),
     ]
     return [row for row in rows if row.attackers <= max_a]
-
-
-def k_lookup(a: int, n: int, max_a: int = 4) -> KEntry | None:
-    """The table row covering (a, n), if any."""
-    for row in k_table(max_a):
-        if row.attackers == a and row.covers(n):
-            return row
-    return None
 
 
 def certify_table_row(row: KEntry, *, k_max: int = 4, budget: int = 10**6) -> bool:

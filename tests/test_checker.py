@@ -13,20 +13,12 @@ from hrcolor.checker import (
     check_highly,
     check_hr,
     check_resistant,
-    lemma_disjunction,
     sample_check,
     substream_seed,
 )
-from hrcolor.coloring import Multicoloring, extend_palette, extend_vertex
+from hrcolor.coloring import Multicoloring
 from hrcolor.constructions import c7_pair, c8c8p5, clique_partition
-from hrcolor.graph import (
-    Graph,
-    VertexSet,
-    add_isolated_vertex,
-    complete,
-    cycle,
-    induced_subgraph,
-)
+from hrcolor.graph import Graph, VertexSet, complete, cycle, disjoint_union
 
 from oracles import (
     _attacked,
@@ -85,7 +77,7 @@ def naive_attack_defeats(n, edges, k, colors, attack):
     )
 
 
-def assert_report_matches_naive(g, kappa, a, threads=1):
+def assert_report_matches_naive(g, kappa, a):
     """check_highly's verdicts, witnesses and examined count against the
     naive reference."""
     n, edges = g.n, list(g.edges())
@@ -98,7 +90,7 @@ def assert_report_matches_naive(g, kappa, a, threads=1):
         examined = max(ranks.index(hr_wit), ranks.index(res_wit)) + 1
     else:
         examined = comb(n, a)
-    rep = check_highly(g, kappa, a, threads=threads)
+    rep = check_highly(g, kappa, a)
     assert (rep.hr_holds, rep.resistant) == (hr_ok, res_ok)
     assert (None if rep.hr_witness is None else rep.hr_witness.vertices()) == hr_wit
     assert (
@@ -246,13 +238,10 @@ class TestCheckHighly:
                 union |= inst.coloring.masks[v]
             assert union == (1 << 7) - 1
         if rep.resistance_witness is not None:
-            removed = inst.graph.closed_neighborhood_set(rep.resistance_witness)
-            full = set(range(1, 8))
-            for comp in inst.graph.surviving_components(removed):
-                held = set()
-                for v in comp:
-                    held |= set(inst.coloring.colors_of(v))
-                assert held != full
+            n, edges = inst.graph.n, list(inst.graph.edges())
+            colors = [set(s) for s in inst.coloring.sets()]
+            attack = rep.resistance_witness.vertices()
+            assert naive_attack_defeats(n, edges, 7, colors, attack)
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -268,68 +257,33 @@ class TestCheckHighly:
         assert not rep.resistant
         assert rep.attack_sets_examined == 1  # the single pair settles both
 
-    def test_threads_do_not_change_the_report(self):
-        inst = c7_pair()
-        reports = [
-            check_highly(inst.graph, inst.coloring, 3, threads=t) for t in (1, 2, 5)
-        ]
-        assert reports[0] == reports[1] == reports[2]
-        g, kappa = two_k2()
-        reports = [check_highly(g, kappa, 1, threads=t) for t in (1, 2, 4)]
-        assert reports[0] == reports[1] == reports[2]
 
-    def test_threads_agree_when_both_conditions_fail(self):
-        # both witnesses sit at different ranks; the merge must reproduce
-        # the sequential scan exactly
-        inst = c7_pair()
-        base = check_highly(inst.graph, inst.coloring, 4, threads=1)
-        assert not base.hr_holds and not base.resistant
-        for t in (2, 3, 7, 16):
-            assert check_highly(inst.graph, inst.coloring, 4, threads=t) == base
-
-    def test_threads_fuzz(self):
-        rng = random.Random(99)
-        for _ in range(100):
-            n = rng.randint(1, 9)
-            edges = [
-                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-            ]
-            k = rng.randint(1, 5)
-            kappa = Multicoloring(k, [rng.getrandbits(k) for _ in range(n)])
-            a = rng.randint(1, n)
-            g = Graph(n, edges)
-            base = check_highly(g, kappa, a, threads=1)
-            for t in (2, 5):
-                assert check_highly(g, kappa, a, threads=t) == base
-        # catalog instances repeat removed masks heavily, and these thread
-        # counts cut the rank range inside prefix blocks
-        for inst, sizes in REPEATING_MASK_CASES:
-            for a in sizes:
-                base = check_highly(inst.graph, inst.coloring, a, threads=1)
-                for t in (2, 3, 7):
-                    assert check_highly(inst.graph, inst.coloring, a, threads=t) == base
+def disjunction(g, kappa, a_hr, r):
+    """The small-graph facts' shape: the hold condition fails at size `a_hr`
+    or the coloring is not `r`-resistant."""
+    return not check_hr(g, kappa, a_hr)[0] or not check_resistant(g, kappa, r)[0]
 
 
 class TestLemmaDisjunction:
     def test_colorless_cycle(self):
         g = cycle(7)
         kappa = Multicoloring(6, [0] * 7)
-        assert lemma_disjunction(g, kappa, 3, 1)
+        assert disjunction(g, kappa, 3, 1)
 
     def test_full_palette_vertex(self):
         g = cycle(7)
         kappa = Multicoloring.from_sets(6, [[1, 2, 3, 4, 5, 6]] + [[]] * 6)
-        assert lemma_disjunction(g, kappa, 3, 1)
+        assert disjunction(g, kappa, 3, 1)
 
     def test_random_cycle_colorings(self):
         rng = random.Random(11)
         g = cycle(7)
         for _ in range(2000):
             kappa = Multicoloring(6, [rng.getrandbits(6) for _ in range(7)])
-            assert lemma_disjunction(g, kappa, 3, 1)
+            assert disjunction(g, kappa, 3, 1)
 
-    # each call checks the coloring, then a_hr, then r, and raises the first
-    # error it meets
+    # each check tests the coloring before its size, and check_hr runs
+    # first, so the coloring, then a_hr, then r raises the first error
     @pytest.mark.parametrize(
         "n_colored, k, a_hr, r, message",
         [
@@ -344,7 +298,7 @@ class TestLemmaDisjunction:
     def test_errors_keep_their_order(self, n_colored, k, a_hr, r, message):
         kappa = Multicoloring(k, [0] * n_colored)
         with pytest.raises(ValueError, match=message):
-            lemma_disjunction(cycle(7), kappa, a_hr, r)
+            disjunction(cycle(7), kappa, a_hr, r)
 
 
 class TestSampleCheck:
@@ -516,8 +470,7 @@ def test_catalog_instances_agree_with_the_naive_reference():
 def test_sparse_random_instances_agree_with_the_naive_reference():
     for g, kappa in sparse_random_instances():
         for a in (2, 3):
-            for threads in (1, 3):
-                assert_report_matches_naive(g, kappa, a, threads)
+            assert_report_matches_naive(g, kappa, a)
 
 
 def test_part_list_past_its_cap_keeps_the_naive_verdicts(fills):
@@ -586,14 +539,38 @@ def test_downward_monotone_in_attack_size():
                 assert check_hr(g, kappa, b)[0]
 
 
+def with_isolated_vertex(g):
+    return disjoint_union(g, Graph(1))
+
+
+def with_empty_vertex(kappa):
+    return Multicoloring(kappa.palette_size, kappa.masks + (0,))
+
+
+def with_universal_color(kappa):
+    """A new color on every vertex."""
+    k = kappa.palette_size
+    return Multicoloring(k + 1, [m | 1 << k for m in kappa.masks])
+
+
+def induced_subgraph(g, keep):
+    """The subgraph induced on the sorted vertex list `keep`, relabeled
+    0..len(keep)-1 in order."""
+    relabel = {v: i for i, v in enumerate(keep)}
+    return Graph(
+        len(keep),
+        [(relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel],
+    )
+
+
 def test_extension_transforms_preserve_the_verdict():
     for inst in (clique_partition(1), clique_partition(2), c7_pair()):
         g, kappa, a = inst.graph, inst.coloring, inst.attackers
         assert check_highly(g, kappa, a).highly_resistant
         assert check_highly(
-            add_isolated_vertex(g), extend_vertex(kappa), a
+            with_isolated_vertex(g), with_empty_vertex(kappa), a
         ).highly_resistant
-        assert check_highly(g, extend_palette(kappa), a).highly_resistant
+        assert check_highly(g, with_universal_color(kappa), a).highly_resistant
 
 
 def test_every_color_used_and_small_palette_forces_hr_failure():
@@ -631,7 +608,7 @@ def test_hr_inherited_by_induced_subgraphs():
         keep = [v for v in range(n) if rng.random() < 0.7]
         if len(keep) < a:
             keep = sorted(rng.sample(range(n), a))
-        sub = induced_subgraph(g, VertexSet.from_vertices(keep, n))
+        sub = induced_subgraph(g, sorted(keep))
         sub_kappa = Multicoloring(k, [kappa.masks[v] for v in sorted(keep)])
         assert check_hr(sub, sub_kappa, a)[0]
 
@@ -669,13 +646,9 @@ def test_relabeling_invariance():
             image = VertexSet.from_vertices(
                 [perm[v] for v in rep.resistance_witness], n
             )
-            removed = pg.closed_neighborhood_set(image)
-            full = (1 << k) - 1
-            for comp in pg.surviving_components(removed):
-                held = 0
-                for v in comp:
-                    held |= pkappa.masks[v]
-                assert held != full
+            pcolors = [set(pkappa.colors_of(v)) for v in range(n)]
+            pedges = list(pg.edges())
+            assert naive_attack_defeats(n, pedges, k, pcolors, image.vertices())
 
         # color permutation leaves verdicts alone too
         cperm = list(range(1, k + 1))

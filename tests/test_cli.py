@@ -245,6 +245,15 @@ class TestSearch:
         assert rc == 2
         assert out == "" and err == f"error: vertex count n must be at least 1, got {n}\n"
 
+    def test_nonexistence_negative_budget_is_a_usage_error(self, capsys):
+        # every graph on 3 vertices is blocked at a = 1, so decide never runs
+        rc, out, err = run(
+            capsys, "search", "--nonexistence", "-n", "3", "-a", "1", "--kmax", "2",
+            "--budget", "-5",
+        )
+        assert rc == 2
+        assert out == "" and err == "error: budget must be non-negative\n"
+
     def test_usage_errors(self, capsys, two_k2_edges):
         rc, _, _ = run(capsys, "search", "--graph", two_k2_edges, "-a", "1")
         assert rc == 2

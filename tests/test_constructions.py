@@ -4,9 +4,10 @@ import pytest
 
 from hrcolor import constructions
 from hrcolor.checker import check_highly
-from hrcolor.coloring import classes, union_over
 from hrcolor.constructions import c7_pair, c8c8p5, catalog, clique_partition, instance
-from hrcolor.graph import MAX_VERTICES, Graph, VertexSet
+from hrcolor.graph import MAX_VERTICES, Graph
+
+from oracles import naive_components
 
 
 class TestCliquePartition:
@@ -19,7 +20,7 @@ class TestCliquePartition:
         assert inst.attackers == a
         # one clique of a+1 vertices per block, nothing across blocks
         assert inst.graph.num_edges() == size * (size * (size - 1) // 2)
-        comps = inst.graph.surviving_components(VertexSet(0, inst.graph.n))
+        comps = naive_components(list(range(inst.graph.n)), list(inst.graph.edges()))
         assert len(comps) == size
         assert all(len(c) == size for c in comps)
 
@@ -27,9 +28,9 @@ class TestCliquePartition:
     def test_each_color_class_has_one_vertex_per_clique(self, a):
         inst = clique_partition(a)
         size = a + 1
-        cc = classes(inst.coloring)
+        colors = inst.coloring.sets()
         for color in range(1, size + 1):
-            cls = cc.vertex_class(color)
+            cls = [v for v in range(inst.graph.n) if color in colors[v]]
             assert len(cls) == size
             assert sorted(v // size for v in cls) == list(range(size))
 
@@ -80,9 +81,9 @@ class TestC7Pair:
             assert len(inst.coloring.colors_of(v)) == 2
 
     def test_no_three_vertices_reach_seven_colors(self):
-        inst = c7_pair()
+        colors = c7_pair().coloring.sets()
         for trio in combinations(range(14), 3):
-            got = union_over(inst.coloring, VertexSet.from_vertices(trio, 14))
+            got = set().union(*(colors[v] for v in trio))
             assert len(got) <= 6
 
 
@@ -128,7 +129,7 @@ class TestCatalog:
             "paper-14",
             "paper-21",
         ]
-        params = {(e.attackers, e.palette_size, e.num_vertices) for e in entries}
+        params = {(e.attackers, e.palette_size, e.graph.n) for e in entries}
         assert (3, 7, 14) in params
         assert (4, 10, 21) in params
 

@@ -15,7 +15,7 @@ import pytest
 import hrcolor
 from hrcolor import search
 from hrcolor.checker import check_highly, check_hr
-from hrcolor.coloring import Multicoloring, canonical_form, classes, from_class_masks
+from hrcolor.coloring import Multicoloring, from_class_masks
 from hrcolor.constructions import catalog, clique_partition
 from hrcolor.graph import Graph, complete, cycle, from_pair_bits
 from hrcolor.search import (
@@ -26,7 +26,6 @@ from hrcolor.search import (
     certify_table_row,
     decide,
     exhaustive_nonexistence,
-    k_lookup,
     k_table,
     min_colors,
 )
@@ -56,8 +55,10 @@ class TestDecide:
         assert d.outcome == SAT
         rep = check_highly(two_k2(), d.witness, 1)
         assert rep.highly_resistant
-        expected = Multicoloring.from_sets(2, [[1], [2], [1], [2]])
-        assert canonical_form(d.witness) == canonical_form(expected)
+        # {1}, {2}, {1}, {2} up to renaming the colors
+        sets = d.witness.sets()
+        got = {frozenset(v for v in range(4) if c in sets[v]) for c in (1, 2)}
+        assert got == {frozenset({0, 2}), frozenset({1, 3})}
 
     def test_small_palette_fast_path(self):
         d = decide(cycle(4), 2, 2, 0)
@@ -219,7 +220,10 @@ class TestCanonicalSequences:
                             assert d.outcome == UNSAT, (n, edges, a, k)
                         else:
                             assert d.outcome == SAT, (n, edges, a, k)
-                            assert classes(d.witness).class_masks == expected
+                            assert [set(s) for s in d.witness.sets()] == [
+                                {i + 1 for i, c in enumerate(expected) if c >> v & 1}
+                                for v in range(n)
+                            ]
                             sats += 1
                         cases += 1
         assert (cases, sats) == (224, 6)
@@ -321,6 +325,11 @@ class TestExhaustiveNonexistence:
         with pytest.raises(ValueError, match="vertex count n must be at least 1"):
             exhaustive_nonexistence(n, 1, 2)
 
+    def test_negative_budget_refused_even_when_every_graph_is_blocked(self):
+        # at n = 3, a = 1 every graph is blocked, so decide never runs
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            exhaustive_nonexistence(3, 1, 2, budget=-5)
+
 
 def complement_color_sets(n: int, a: int) -> tuple[int, list[set[int]]]:
     """The complement coloring: one color per a-set X, in rank order, on
@@ -380,7 +389,7 @@ class TestExistenceCriterion:
     def test_catalog_instances_at_their_design_size(self):
         checked = 0
         for inst in catalog():
-            n, a = inst.num_vertices, inst.attackers
+            n, a = inst.graph.n, inst.attackers
             if comb(n, a) > 15_000:
                 continue  # clique-partition:5 would need 376,992 colors
             assert blocking_attack(inst.graph, a) is None, inst.name
@@ -391,20 +400,29 @@ class TestExistenceCriterion:
         assert checked == 6
 
 
+def table_row(a, n):
+    """The table row whose attack size is a and whose n range holds n."""
+    (row,) = [
+        r for r in k_table(4)
+        if r.attackers == a and r.n_lo <= n and (r.n_hi is None or n <= r.n_hi)
+    ]
+    return row
+
+
 class TestKTable:
     def test_known_rows(self):
-        row = k_lookup(3, 14)
+        row = table_row(3, 14)
         assert row.value == 7 and row.proven_by == ("construction",)
-        row = k_lookup(3, 16)
+        row = table_row(3, 16)
         assert row.value == 4
-        row = k_lookup(4, 20)
+        row = table_row(4, 20)
         assert row.infinite and row.proven_by == ("paper-citation",)
-        row = k_lookup(4, 21)
+        row = table_row(4, 21)
         assert row.value == 10 and row.instance_name == "paper-21"
-        row = k_lookup(1, 3)
+        row = table_row(1, 3)
         assert row.infinite
         assert set(row.proven_by) == {"exhaustive-search", "paper-citation"}
-        row = k_lookup(4, 22)
+        row = table_row(4, 22)
         assert row.value is None and not row.infinite
 
     def test_max_a_filter_and_bounds(self):
@@ -427,7 +445,7 @@ class TestKTable:
         def palette_bounded(*args, **kwargs):
             return replace(real(*args, **kwargs), every_palette=False)
 
-        row = k_lookup(1, 3)
+        row = table_row(1, 3)
         assert certify_table_row(row)
         monkeypatch.setattr(search, "exhaustive_nonexistence", palette_bounded)
         assert not certify_table_row(row)
