@@ -4,35 +4,54 @@ An attack by a set A of exactly `a` vertices removes A together with all
 its neighbors. A coloring is `a`-resistant when every attack leaves some
 connected component holding all palette colors, and it satisfies the hold
 condition ("hr") when no `a` vertices jointly hold all colors. Both checks
-enumerate attack sets in ascending lexicographic order, so reported
+report the first failing set in ascending lexicographic (rank) order, so
 witnesses are the smallest failing sets.
 
-The exhaustive scans are prefix-OR walks: each (a-1)-vertex prefix, in
-lexicographic order, ORs its masks once and is extended by every larger
-last vertex, so sets still come in rank order. The hold condition depends
-on the colors alone, so `_first_cover` walks color masks only and never
-reads the graph; the resistance scan `_scan` ORs closed-neighborhood
-masks, and in its fused mode (`check_highly`) color masks on the same
-pass. Resistance needs one full-color connected part per attack, not
-whole components, so the single flood fill `_full_color_part` stops at the
+The hold condition depends on the colors alone, so `_first_cover` walks
+color masks only and never reads the graph: each (a-1)-vertex prefix ORs
+its masks once and is extended by every larger last vertex. It is skipped
+when k > a * max|κ(v)|, since `a` vertices then hold at most
+a * max|κ(v)| < k colors between them.
+
+Resistance needs one full-color connected part per attack, not whole
+components, so the single flood fill `_full_color_part` stops at the
 first BFS level whose colors reach the palette and returns the part it
-flooded. An attack whose removed mask misses the part the last resisted
-attack left whole passes with no further work; otherwise the scan looks
-through its short list of recent full-color parts, and fills only when
-the attack hits every one of them. Any connected full-color set that
-survives proves the attack resisted, so each attack gets the same verdict
-as from a full flood fill, and witnesses and examined counts are those of
-a plain scan.
+flooded. Any such part P that an attack leaves whole proves the attack
+resisted. Closed neighborhoods are symmetric, so a vertex removes part of
+P (hits P) iff it lies in N[P], the union of closed[u] over u in P. The
+resistance walk `_scan` visits attack prefixes depth first in rank order
+and keeps the last `_RECENT_PARTS` parts its fills returned. Take a prefix
+with s attackers still to add, all from its tail lo..n-1, and call a kept
+part unhit when no attacker of the prefix hits it. The walk skips every
+attack below the prefix when
+
+* (a) some unhit P has N[P] ∩ tail empty: no attacker still to come can
+  hit P; or
+* (b) more than s unhit parts have pairwise disjoint N[P]: each attacker
+  still to come lies in at most one of these sets, so s of them hit at
+  most s of these parts and leave one whole;
+
+and at the last attacker it tries only the tail vertices that lie in the
+N[P] of every unhit part, since any other vertex leaves an unhit part
+whole. Every skipped attack therefore leaves a full-color part whole and
+is resisted. Every attack the walk does reach hits every kept part and is
+flooded, in rank order, so the first failure it finds is the first
+failing attack of a plain scan over all C(n, a) sets.
+
+`check_highly` reports the hold test's and the walk's witnesses, and as
+`attack_sets_examined` the count a sequential scan needs to settle both
+verdicts, computed from the witnesses' ranks; sets the walk skips or
+never reaches are counted all the same.
 
 Sampling draws each attack as a bit mask straight from the substream's
 `getrandbits`, replaying `random.Random.sample(range(n), a)` draw for
-draw, and reuses full-color parts the same way, so sampled counts and
-first failures are those of a plain loop over `random.Random.sample`.
+draw, and reuses its own short list of full-color parts, so sampled counts
+and first failures are those of a plain loop over `random.Random.sample`.
 
-Scans are sequential: under CPython's GIL a thread pool gains no speed.
+Checks are sequential: under CPython's GIL a thread pool gains no speed.
 `check_hr` and `check_resistant` still accept a `threads` keyword and
 ignore it, because the benchmark's tracer (`bench/tracing.py`) passes it
-when it re-times the two halves of a fused scan; it goes when the
+when it re-times the two halves of `check_highly`; it goes when the
 benchmark stops passing it.
 """
 
@@ -41,17 +60,18 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations
 from math import ceil, comb, log
+from operator import or_
 from typing import Sequence
 
 from .coloring import Multicoloring
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, _bits
 
-_Found = tuple[int, tuple[int, ...]]  # (attack index, attack vertices)
-
-# full-color parts a scan or a sample keeps for reuse; a full list costs up
-# to one AND per part on each attack that hits the last part used
+# full-color parts the walk or a sample keeps for reuse; a sample pays up to
+# one AND per part on each attack that hits the last part used, and the walk
+# one memo entry per distinct set of unhit parts
 _RECENT_PARTS = 16
 
 
@@ -63,7 +83,9 @@ class CheckReport:
     lexicographically smallest failing attack sets. `attack_sets_examined`
     is the number of sets a sequential scan needs to settle both verdicts:
     the full count C(n, a) whenever either condition holds, and one past
-    the later of the two first failures when both fail.
+    the later of the two first failures when both fail. It is not the
+    number of sets the checker touched: the resistance walk skips whole
+    subtrees of attacks, and the hold test may be settled by a bound.
     """
 
     hr_holds: bool
@@ -172,7 +194,7 @@ def _first_cover(colors: Sequence[int], full: int, a: int) -> tuple[int, ...] | 
 
     The hold condition reads colors only, never the graph. Each (a-1)-vertex
     prefix ORs its masks once and is extended by every larger last vertex,
-    so sets come in rank order as in `_scan`.
+    so sets come in rank order.
     """
     n = len(colors)
     for prefix in combinations(range(n - 1), a - 1):
@@ -186,71 +208,137 @@ def _first_cover(colors: Sequence[int], full: int, a: int) -> tuple[int, ...] | 
     return None
 
 
-def _scan(
-    g: Graph, kappa: Multicoloring, a: int, fused: bool
-) -> tuple[_Found | None, _Found | None]:
-    """Scan all C(n, a) attack sets in rank order and return the first
-    hold-condition failure (None unless `fused`) and the first resistance
-    failure.
+def _rank(attack: Sequence[int], n: int) -> int:
+    """Rank of the sorted `attack` among the len(attack)-sets of range(n) in
+    lexicographic order: C(n, a) - 1 less the sets that come after it, which
+    agree with it up to some position i and hold a larger vertex there."""
+    a = len(attack)
+    return comb(n, a) - 1 - sum(comb(n - 1 - v, a - i) for i, v in enumerate(attack))
 
-    An attack passes resistance without further work when its removed mask
-    misses `part`, the full-color part the last resisted attack left whole
-    (-1 forces the first fill). Otherwise the first part in `parts` that the
-    mask misses becomes `part`, and only a mask that hits every listed part
-    is flooded. `parts` holds the parts the fills returned, most recent
-    first, at most `_RECENT_PARTS` of them; each is a connected full-color
-    set, so any attack that misses one resists. Stops early once every
-    wanted failure kind has been seen. The fused mode tests the hold
-    condition on the same pass, so `check_highly` can count the sets a
-    sequential scan needs to settle both verdicts.
+
+def _cover(kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
+    """`_first_cover` on the coloring, skipped when no `a` vertices can hold
+    all k colors because each holds at most max|κ(v)| of them."""
+    k = kappa.palette_size
+    if k > a * max(m.bit_count() for m in kappa.masks):
+        return None
+    return _first_cover(kappa.masks, (1 << k) - 1, a)
+
+
+def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
+    """The first attack in rank order that leaves no full-color part, or
+    None when the coloring is `a`-resistant.
+
+    A depth-first walk over attack prefixes in rank order, on an explicit
+    stack, that skips what the module docstring's rules allow (`bound`).
+    The first attack is flooded before anything is set up, so a coloring
+    that fails it costs one fill and none of the set-up: nearly every
+    resistance check of a lemma trial fails there. The walk keeps the last
+    `_RECENT_PARTS` parts its fills returned in a ring of slots, each with
+    its N[P], and for each vertex the slots whose N[P] holds it, so adding
+    an attacker updates a prefix's unhit slots with one AND. A new part is
+    unhit by every prefix on the stack, since the attack that found it
+    misses it. Each prefix is bounded again before each next attacker, so
+    parts found below it count at once. A prefix whose tail has exactly as
+    many vertices as attackers still to add is one attack.
     """
     n = g.n
     closed = g.closed_masks
     colors = kappa.masks
     full = (1 << kappa.palette_size) - 1
     all_mask = g.full_mask
-    hr_first: _Found | None = None
-    res_first: _Found | None = None
-    need_hr = fused
-    need_res = True
-    parts: list[int] = []
-    part = -1
-    begin = 0  # rank of the first set extending the current prefix
-    # a prefix ending in n-1 has no larger last vertex
-    for prefix in combinations(range(n - 1), a - 1):
-        lo = prefix[-1] + 1 if prefix else 0
-        base = begin - lo  # rank of the set ending in v is base + v
-        begin += n - lo
-        prefix_rm = 0
-        prefix_cm = 0
-        for u in prefix:
-            prefix_rm |= closed[u]
-            prefix_cm |= colors[u]
-        for v in range(lo, n):
-            if need_hr and prefix_cm | colors[v] == full:
-                hr_first = (base + v, (*prefix, v))
-                need_hr = False
-                if not need_res:
-                    return hr_first, res_first
-            if need_res:
-                rm = prefix_rm | closed[v]
-                if rm & part:
-                    for p in parts:
-                        if not rm & p:
-                            part = p
-                            break
-                    else:
-                        found = _full_color_part(closed, colors, full, all_mask & ~rm)
-                        if found:
-                            part = found
-                            parts.insert(0, found)
-                            del parts[_RECENT_PARTS:]
-                        else:
-                            res_first = (base + v, (*prefix, v))
-                            need_res = False
-                            if not need_hr:
-                                return hr_first, res_first
-    return hr_first, res_first
+
+    def flood(removed: int) -> int:
+        return _full_color_part(closed, colors, full, all_mask & ~removed)
+
+    # no part is known before the first attack, so it is always flooded
+    if not (first := flood(reduce(or_, closed[:a]))):
+        return tuple(range(a))
+    # suffix[lo]: the removed mask of all the vertices lo..n-1
+    suffix = [*accumulate(reversed(closed), or_, initial=0)][::-1]
+    nbhd = [0] * _RECENT_PARTS  # N[P] of the full-color part P in each slot
+    hits = [0] * n  # the slots whose N[P] holds each vertex
+    fills = 0  # parts found so far; the next goes to slot fills % _RECENT_PARTS
+    # unhit slots -> (the AND of their N[P], the least over them of the
+    # last vertex in N[P], and how many of them a greedy pass finds with
+    # pairwise disjoint N[P]); between two fills every prefix is bounded
+    # again before each next attacker, mostly with the same unhit slots
+    memo: dict[int, tuple[int, int, int]] = {}
+    # per prefix on the stack: its removed mask, its unhit slots and the
+    # last vertex tried after it
+    stack: list[list[int]] = []
+
+    def keep(part: int) -> int:
+        """Put `part` in the oldest slot and return its N[P]."""
+        nonlocal fills
+        i = fills % _RECENT_PARTS
+        bit = 1 << i
+        reach = 0
+        for u in _bits(part):
+            reach |= closed[u]
+        for u in _bits(nbhd[i] ^ reach):  # the vertices that join or leave slot i
+            hits[u] ^= bit
+        nbhd[i] = reach
+        for frame in stack:  # every prefix on the stack leaves the part whole
+            frame[1] |= bit
+        fills += 1
+        memo.clear()
+        return reach
+
+    def bound(unhit: int, lo: int, s: int) -> tuple[int, int]:
+        """(hi, cand) for a prefix with these unhit slots, tail lo..n-1 and
+        s attackers to add: only a next attacker up to hi can lead to an
+        attack that hits every unhit part (hi < lo skips the prefix), and
+        when s = 1 only one in `cand` can."""
+        got = memo.get(unhit)
+        if got is None:
+            both = all_mask
+            low = n
+            used = packed = 0
+            for i in _bits(unhit):
+                reach = nbhd[i]
+                both &= reach
+                low = min(low, reach.bit_length() - 1)  # the last vertex that hits P
+                if not reach & used:
+                    used |= reach
+                    packed += 1
+            got = memo[unhit] = both, low, packed
+        both, low, packed = got
+        if packed > s:
+            return -1, 0
+        return min(low, n - s), both & (all_mask >> lo << lo)
+
+    keep(first)
+    rm, unhit, lo = 0, 1, 0  # the prefix to enter; slot 0 holds `first`
+    while True:
+        s = a - len(stack)
+        if s == 1:
+            cand = bound(unhit, lo, 1)[1]
+            for v in _bits(cand):
+                if cand >> v & 1:  # no part found at an earlier v misses it
+                    if not (part := flood(rm | closed[v])):
+                        return (*(frame[2] for frame in stack), v)
+                    cand &= keep(part)
+        elif n - lo == s:  # one attack: the whole tail
+            if bound(unhit, lo, s)[0] >= lo:
+                if not (part := flood(rm | suffix[lo])):
+                    return (*(frame[2] for frame in stack), *range(lo, n))
+                keep(part)
+        else:
+            stack.append([rm, unhit, lo - 1])
+        while stack:
+            frame = stack[-1]
+            rm, unhit, v = frame
+            v += 1
+            if v <= bound(unhit, v, a - len(stack) + 1)[0]:
+                break
+            stack.pop()
+        else:
+            return None
+        frame[2] = v
+        rm |= closed[v]
+        unhit &= ~hits[v]
+        lo = v + 1
 
 
 def check_hr(
@@ -262,7 +350,7 @@ def check_hr(
     `threads` is ignored (see the module docstring).
     """
     _validate(g, kappa, a)
-    cover = _first_cover(kappa.masks, (1 << kappa.palette_size) - 1, a)
+    cover = _cover(kappa, a)
     if cover is None:
         return True, None
     return False, VertexSet.from_vertices(cover, g.n)
@@ -277,27 +365,27 @@ def check_resistant(
     `threads` is ignored, as in `check_hr`.
     """
     _validate(g, kappa, a)
-    _, res_first = _scan(g, kappa, a, False)
-    if res_first is None:
+    failing = _scan(g, kappa, a)
+    if failing is None:
         return True, None
-    return False, VertexSet.from_vertices(res_first[1], g.n)
+    return False, VertexSet.from_vertices(failing, g.n)
 
 
 def check_highly(g: Graph, kappa: Multicoloring, a: int) -> CheckReport:
-    """Run both conditions over one enumeration pass and report witnesses."""
+    """Run the hold test and the resistance walk and report witnesses."""
     _validate(g, kappa, a)
-    hr_first, res_first = _scan(g, kappa, a, True)
-    if hr_first is not None and res_first is not None:
-        examined = max(hr_first[0], res_first[0]) + 1
+    n = g.n
+    cover = _cover(kappa, a)
+    failing = _scan(g, kappa, a)
+    if cover is not None and failing is not None:
+        examined = max(_rank(cover, n), _rank(failing, n)) + 1
     else:
-        examined = comb(g.n, a)
+        examined = comb(n, a)
     return CheckReport(
-        hr_holds=hr_first is None,
-        hr_witness=None if hr_first is None else VertexSet.from_vertices(hr_first[1], g.n),
-        resistant=res_first is None,
-        resistance_witness=(
-            None if res_first is None else VertexSet.from_vertices(res_first[1], g.n)
-        ),
+        hr_holds=cover is None,
+        hr_witness=None if cover is None else VertexSet.from_vertices(cover, n),
+        resistant=failing is None,
+        resistance_witness=None if failing is None else VertexSet.from_vertices(failing, n),
         attack_sets_examined=examined,
     )
 
@@ -330,8 +418,9 @@ def sample_check(
     return, drawn as a bit mask straight from the substream's `getrandbits`:
     by the same pool swaps on small populations, by the same rejection of
     repeated vertices on larger ones, and with each index drawn as
-    `_randbelow` draws it. Resistance reuses one list of full-color parts
-    as `_scan` does.
+    `_randbelow` draws it. An attack passes resistance without a fill when
+    its removed mask misses `part`, the full-color part the last resisted
+    attack left whole, or else some part in the list of recent ones.
     """
     _validate(g, kappa, a)
     if trials < 1:
@@ -357,7 +446,7 @@ def sample_check(
     first_hr = 0  # attack masks; 0 until a failure is seen
     first_res = 0
     parts: list[int] = []
-    part = -1  # as in _scan
+    part = -1  # forces the first fill
     # substreams at index >= trials draw nothing
     for w in range(min(workers, trials)):
         count = base + (1 if w < extra else 0)

@@ -160,8 +160,7 @@ def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
         checked += 1
         g = fixed if bits is None else from_pair_bits(n, bits)
         kappa = Multicoloring(k, masks)
-        _, res_first = _scan(g, kappa, r, False)
-        if res_first is None:  # resistant too: the disjunction fails
+        if _scan(g, kappa, r) is None:  # resistant too: the disjunction fails
             violations += 1
             if first is None:
                 first = Violation(t, g, kappa, a_hr, r)

@@ -659,3 +659,154 @@ def test_relabeling_invariance():
         crep = check_highly(g, ckappa, a)
         assert rep.hr_holds == crep.hr_holds
         assert rep.resistant == crep.resistant
+
+
+def relabeled(inst, seed):
+    """The instance's graph and coloring under a seeded vertex permutation."""
+    g, kappa = inst.graph, inst.coloring
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    masks = [0] * g.n
+    for v in range(g.n):
+        masks[perm[v]] = kappa.masks[v]
+    return (Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]),
+            Multicoloring(kappa.palette_size, masks))
+
+
+def test_every_labelled_graph_on_five_vertices_matches_the_naive_reference():
+    # the resistance walk's skip rules and the hold bound against the naive
+    # scans at every attack size, with empty color sets, k = 1 and colorings
+    # whose palette no a vertices can hold among the draws
+    rng = random.Random(61)
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            for k in (1, rng.randint(2, 4)):
+                density = rng.choice((0.25, 0.5, 0.75))
+                color_sets = random_color_sets(rng, n, k, density)
+                kappa = Multicoloring.from_sets(k, [sorted(c) for c in color_sets])
+                for a in range(1, n + 1):
+                    assert_report_matches_naive(g, kappa, a)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [clique_partition(3), clique_partition(4), c7_pair(), c8c8p5()],
+    ids=lambda inst: inst.name,
+)
+def test_relabeled_catalog_instances_match_the_naive_reference(inst):
+    # the constructions are where whole subtrees get skipped; each passes up
+    # to its design size and fails one past it
+    g, kappa = relabeled(inst, 67)
+    for a in range(1, inst.attackers + 2):
+        assert_report_matches_naive(g, kappa, a)
+
+
+def test_sparse_random_graphs_up_to_26_vertices_match_the_naive_reference():
+    rng = random.Random(71)
+    for n in range(6, 27, 4):
+        pairs = list(combinations(range(n), 2))
+        edges = sorted(rng.sample(pairs, rng.randint(n // 2, 3 * n // 2)))
+        k = rng.randint(1, 4)
+        g = Graph(n, edges)
+        kappa = Multicoloring(k, [rng.randrange(1, 1 << k) for _ in range(n)])
+        for a in (2, 3):
+            assert_report_matches_naive(g, kappa, a)
+
+
+class ReadCounter(tuple):
+    """Closed-neighborhood masks that count the reads by index or slice."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_clique_partition_five_is_settled_without_visiting_its_attacks(fills, seed):
+    # six disjoint full-color cliques: no 5-attack hits them all, so once
+    # six fills have found them the walk skips every other attack (a scan
+    # reads a closed mask per attacker of each of the C(36,5) sets), and
+    # the report still counts every set of a sequential scan
+    inst = clique_partition(5)
+    g, kappa = (inst.graph, inst.coloring) if seed is None else relabeled(inst, seed)
+    closed = ReadCounter(g.closed_masks)
+    rep = check_highly(Graph._from_closed(g.n, closed), kappa, 5)
+    assert rep.highly_resistant
+    assert rep.attack_sets_examined == comb(36, 5)
+    assert closed.reads < 1000
+    if seed is None:
+        assert len(fills) == 6 and all(fills)
+
+
+DEEP_N = 1500
+
+
+@pytest.mark.parametrize("a", [DEEP_N - 1, DEEP_N])
+def test_attack_sizes_near_n_on_a_large_edgeless_graph(a):
+    # an explicit stack: a walk 1,499 levels deep raises no RecursionError
+    n = DEEP_N
+    g = Graph(n, [])
+    kappa = Multicoloring(1, [1] * n)
+    everyone = VertexSet.from_vertices(range(n), n)
+    first = VertexSet.from_vertices(range(a), n)
+    rep = check_highly(g, kappa, a)
+    assert (rep.hr_holds, rep.hr_witness) == (False, first)
+    if a == n - 1:
+        # every attack leaves one vertex, which holds the whole palette
+        assert check_resistant(g, kappa, a) == (True, None)
+        assert (rep.resistant, rep.attack_sets_examined) == (True, n)
+        # with vertex 700 colorless, the failing attack spares it, and the
+        # attacks that spare a later vertex come first in rank order
+        holey = Multicoloring(1, [0 if v == 700 else 1 for v in range(n)])
+        spare = VertexSet.from_vertices([v for v in range(n) if v != 700], n)
+        assert check_resistant(g, holey, a) == (False, spare)
+        rep = check_highly(g, holey, a)
+        assert (rep.resistant, rep.resistance_witness) == (False, spare)
+        assert rep.attack_sets_examined == n - 700
+    else:
+        assert check_resistant(g, kappa, a) == (False, everyone)
+        assert (rep.resistant, rep.resistance_witness) == (False, everyone)
+        assert rep.attack_sets_examined == 1
+
+
+@pytest.mark.parametrize("a", [DEEP_N - 1, DEEP_N])
+def test_attack_sizes_near_n_on_a_long_path(a):
+    # n - 1 attackers on a path remove every vertex: the first attack fails
+    n = DEEP_N
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    kappa = Multicoloring(1, [1] * n)
+    first = VertexSet.from_vertices(range(a), n)
+    assert check_resistant(g, kappa, a) == (False, first)
+    rep = check_highly(g, kappa, a)
+    assert (rep.hr_holds, rep.hr_witness) == (False, first)
+    assert (rep.resistant, rep.resistance_witness) == (False, first)
+    assert rep.attack_sets_examined == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(sparse_random_instances()[2], 3),
+     (relabeled(clique_partition(4), 3), 5),
+     ((c8c8p5().graph, c8c8p5().coloring), 4)],
+    ids=["sparse-26@3", "clique-partition:4@5", "paper-21@4"],
+)
+def test_walk_floods_only_attacks_that_hit_every_kept_part(monkeypatch, case):
+    # an attack that leaves a kept part whole is resisted and must not be
+    # flooded; the first case finds more parts than the walk keeps
+    (g, kappa), a = case
+    real = checker._full_color_part
+    kept = []
+
+    def checked(closed, colors, full, survivors):
+        assert not any(part & ~survivors == 0 for part in kept)
+        part = real(closed, colors, full, survivors)
+        if part:
+            kept[:] = [part, *kept][: checker._RECENT_PARTS]
+        return part
+
+    monkeypatch.setattr(checker, "_full_color_part", checked)
+    assert_report_matches_naive(g, kappa, a)

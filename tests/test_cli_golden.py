@@ -81,7 +81,7 @@ def run_case(case: str, fmt: str, directory: Path) -> dict:
     if case == "verify-lemma-violation":
         # no covering set and no failing attack: every trial violates
         lemmas._first_cover = lambda *args: None
-        lemmas._scan = lambda *args: (None, None)
+        lemmas._scan = lambda *args: None
     try:
         os.chdir(directory)
         with redirect_stdout(out), redirect_stderr(err):

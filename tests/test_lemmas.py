@@ -80,12 +80,12 @@ def recorded_run(monkeypatch, lemma_id, seed, fail_at=()):
         holds.append((list(colors), full, a))
         return None
 
-    def record(g, kappa, a, fused):
-        assert isinstance(g, Graph) and isinstance(kappa, Multicoloring) and not fused
+    def record(g, kappa, a):
+        assert isinstance(g, Graph) and isinstance(kappa, Multicoloring)
         colors, full, a_hr = holds[len(calls)]
         assert colors == list(kappa.masks) and full == (1 << kappa.palette_size) - 1
         calls.append((g, kappa, a_hr, a))
-        return None, None if len(calls) - 1 in fail_at else (0, (0,))
+        return None if len(calls) - 1 in fail_at else (0,)
 
     monkeypatch.setattr(lemmas, "_first_cover", no_cover)
     monkeypatch.setattr(lemmas, "_scan", record)
