@@ -43,10 +43,13 @@ failing attack of a plain scan over all C(n, a) sets.
 verdicts, computed from the witnesses' ranks; sets the walk skips or
 never reaches are counted all the same.
 
-Sampling draws each attack as a bit mask straight from the substream's
-`getrandbits`, replaying `random.Random.sample(range(n), a)` draw for
-draw, and reuses its own short list of full-color parts, so sampled counts
-and first failures are those of a plain loop over `random.Random.sample`.
+Sampling replays `random.Random.sample(range(n), a)` on the substream's
+`getrandbits`, so sampled counts and first failures are those of a plain
+loop over `random.Random.sample`. For n < 256 the draws come in blocks,
+cut and filtered in C; a trial ORs one packed word per vertex; and the
+sampler keeps its parts in a ring of slots like the walk's. An attack A
+leaves a part P whole iff A ∩ N[P] is empty, so a trial floods only when
+it hits every kept part (see `sample_check`).
 
 Checks are sequential: under CPython's GIL a thread pool gains no speed.
 `check_hr` and `check_resistant` still accept a `threads` keyword and
@@ -60,19 +63,20 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, combinations
+from functools import cache, partial, reduce
+from itertools import accumulate, chain, combinations
 from math import ceil, comb, log
 from operator import or_
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coloring import Multicoloring
 from .graph import Graph, VertexSet, _bits
 
-# full-color parts the walk or a sample keeps for reuse; a sample pays up to
-# one AND per part on each attack that hits the last part used, and the walk
-# one memo entry per distinct set of unhit parts
+# full-color parts the walk or a sample keeps for reuse, one per slot of a
+# ring; the walk pays one memo entry per distinct set of unhit slots
 _RECENT_PARTS = 16
+# Mersenne Twister outputs a sampler draws at a time for n < 256: 4 KB
+_BLOCK_WORDS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,6 +229,22 @@ def _cover(kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     return _first_cover(kappa.masks, (1 << k) - 1, a)
 
 
+def _fill_slot(
+    closed: tuple[int, ...], nbhd: list[int], marks: list[int], i: int, bit: int, part: int
+) -> int:
+    """Put the full-color part `part` in slot i of a ring: store its N[P] in
+    nbhd[i] and flip `bit` in the marks of the vertices that join or leave
+    the slot's N[P], so each vertex's marks hold the slots it hits. Returns
+    N[P]."""
+    reach = 0
+    for u in _bits(part):
+        reach |= closed[u]
+    for u in _bits(nbhd[i] ^ reach):
+        marks[u] ^= bit
+    nbhd[i] = reach
+    return reach
+
+
 def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     """The first attack in rank order that leaves no full-color part, or
     None when the coloring is `a`-resistant.
@@ -273,12 +293,7 @@ def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
         nonlocal fills
         i = fills % _RECENT_PARTS
         bit = 1 << i
-        reach = 0
-        for u in _bits(part):
-            reach |= closed[u]
-        for u in _bits(nbhd[i] ^ reach):  # the vertices that join or leave slot i
-            hits[u] ^= bit
-        nbhd[i] = reach
+        reach = _fill_slot(closed, nbhd, hits, i, bit, part)
         for frame in stack:  # every prefix on the stack leaves the part whole
             frame[1] |= bit
         fills += 1
@@ -396,6 +411,49 @@ def substream_seed(seed: int, worker: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _pooled_draws(getrandbits: Callable[[int], int], n: int, a: int) -> Iterator[int]:
+    """The vertices of successive `random.Random.sample(range(n), a)` calls
+    on a population small enough to be swapped in a pool list: each index
+    is drawn as `_randbelow` draws it and its vertex leaves the pool."""
+    draws = [(n - i, (n - i).bit_length()) for i in range(a)]
+    vertices = list(range(n))
+    while True:
+        pool = vertices[:]
+        for size, bits in draws:
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            yield pool[j]
+            pool[j] = pool[size - 1]
+
+
+@cache
+def _top_bits(width: int) -> bytes:
+    """The table that maps a byte to its top `width` bits."""
+    return bytes(b >> 8 - width for b in range(256))
+
+
+def _vertex_stream(getrandbits: Callable[[int], int], n: int, a: int) -> Iterator[int]:
+    """The vertices that successive `random.Random.sample(range(n), a)`
+    calls draw from `getrandbits`, repeats included where they are
+    rejected (see `sample_check`)."""
+    # random.sample swaps in a pool list up to this many vertices and
+    # rejects repeats on a set above it
+    if n <= 21 + (4 ** ceil(log(a * 3, 4)) if a > 5 else 0):
+        return _pooled_draws(getrandbits, n, a)
+    width = n.bit_length()  # _randbelow(n) draws this many bits at a time
+    if width > 8:
+        return filter(n.__gt__, iter(partial(getrandbits, width), -1))
+    table = _top_bits(width)
+    too_big = bytes(range(n << 8 - width, 256))
+
+    def block() -> bytes:
+        words = getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
+        return words[3::4].translate(table, too_big)
+
+    return chain.from_iterable(iter(block, None))
+
+
 def sample_check(
     g: Graph,
     kappa: Multicoloring,
@@ -415,12 +473,26 @@ def sample_check(
     and a failure that does not replay raises RuntimeError.
 
     Each attack is the set `random.Random.sample(range(n), a)` would
-    return, drawn as a bit mask straight from the substream's `getrandbits`:
-    by the same pool swaps on small populations, by the same rejection of
-    repeated vertices on larger ones, and with each index drawn as
-    `_randbelow` draws it. An attack passes resistance without a fill when
-    its removed mask misses `part`, the full-color part the last resisted
-    attack left whole, or else some part in the list of recent ones.
+    return, drawn from one stream of vertices per substream
+    (`_vertex_stream`): a trial takes vertices from it, skipping repeats,
+    until it has `a` of them. On populations too large for random.sample's
+    pool each vertex is a `_randbelow(n)` draw of w = n.bit_length() bits.
+    CPython's `getrandbits(w)` for w <= 32 is the top w bits of one 32-bit
+    output, and `getrandbits(32 * m)` is m outputs, least significant
+    first; so for n < 256 the stream draws `_BLOCK_WORDS` outputs at once,
+    keeps each one's top byte, and shifts them and drops the values >= n
+    with one `bytes.translate`. Drawing past the last trial changes nothing,
+    since each substream's generator is private.
+
+    Each vertex has one packed word: its own bit, its colors, and the
+    slots of the kept parts it hits. A trial ORs the words of its vertices,
+    so a repeat changes nothing and the hold test reads the color bits.
+    Like `_scan`, the sampler keeps the last `_RECENT_PARTS` full-color
+    parts its fills returned in a ring of slots, each with its N[P]. An
+    attack A leaves P whole iff A ∩ N[P] is empty (equivalently, P ∩ N[A]
+    is empty, as closed neighborhoods are symmetric), so an attack with an
+    unhit slot is resisted without a fill. A fill moves only the vertices
+    that join or leave the new slot's N[P].
     """
     _validate(g, kappa, a)
     if trials < 1:
@@ -430,69 +502,58 @@ def sample_check(
     n = g.n
     closed = g.closed_masks
     colors = kappa.masks
-    full = (1 << kappa.palette_size) - 1
+    k = kappa.palette_size
+    full = (1 << k) - 1
     all_mask = g.full_mask
     base, extra = divmod(trials, workers)
-    # random.sample swaps in a pool list up to this many vertices and
-    # rejects repeats on a set above it
-    setsize = 21 + (4 ** ceil(log(a * 3, 4)) if a > 5 else 0)
-    pooled = n <= setsize
-    width = n.bit_length()  # _randbelow(n) draws this many bits at a time
-    pool_draws = [(n - i, (n - i).bit_length()) for i in range(a)]
-    vertices = list(range(n))
+    # a trial's word: its colors in bits 0..k-1, the slots it hits above
+    # them and its attack mask from bit `shift` on
+    shift = k + _RECENT_PARTS
+    packed = [1 << shift + u | c for u, c in enumerate(colors)]  # slots join at fills
+    nbhd = [0] * _RECENT_PARTS  # N[P] of the full-color part P in each slot
+    live = 0  # the filled slots
+    fills = 0  # parts found so far; the next goes to slot fills % _RECENT_PARTS
 
     hr_failures = 0
     res_failures = 0
     first_hr = 0  # attack masks; 0 until a failure is seen
     first_res = 0
-    parts: list[int] = []
-    part = -1  # forces the first fill
     # substreams at index >= trials draw nothing
     for w in range(min(workers, trials)):
-        count = base + (1 if w < extra else 0)
-        getrandbits = random.Random(substream_seed(seed, w)).getrandbits
-        for _ in range(count):
-            attack = 0
-            cm = 0
-            rm = 0
-            if pooled:
-                pool = vertices[:]
-                for size, bits in pool_draws:
-                    j = getrandbits(bits)
-                    while j >= size:
-                        j = getrandbits(bits)
-                    u = pool[j]
-                    pool[j] = pool[size - 1]
-                    attack |= 1 << u
-                    cm |= colors[u]
-                    rm |= closed[u]
-            else:
-                for _ in range(a):
-                    u = getrandbits(width)
-                    while u >= n or attack >> u & 1:
-                        u = getrandbits(width)
-                    attack |= 1 << u
-                    cm |= colors[u]
-                    rm |= closed[u]
-            if cm == full:
+        left = base + (1 if w < extra else 0)
+        stream = _vertex_stream(random.Random(substream_seed(seed, w)).getrandbits, n, a)
+        x = 0
+        need = a
+        for u in stream:
+            if (y := x | packed[u]) == x:  # u is drawn again: its own bit is set
+                continue
+            x = y
+            need -= 1
+            if need:
+                continue
+            if x & full == full:
                 hr_failures += 1
                 if not first_hr:
-                    first_hr = attack
-            if rm & part:
-                for p in parts:
-                    if not rm & p:
-                        part = p
-                        break
+                    first_hr = x >> shift
+            if x & live == live:  # the attack hits every kept part
+                rm = 0
+                for v in _bits(x >> shift):
+                    rm |= closed[v]
+                part = _full_color_part(closed, colors, full, all_mask & ~rm)
+                if part:
+                    i = fills % _RECENT_PARTS
+                    _fill_slot(closed, nbhd, packed, i, 1 << k + i, part)
+                    live |= 1 << k + i
+                    fills += 1
                 else:
-                    found = _full_color_part(closed, colors, full, all_mask & ~rm)
-                    if found:
-                        part = found
-                        parts.insert(0, found)
-                        del parts[_RECENT_PARTS:]
-                    else:
-                        res_failures += 1
-                        if not first_res:
-                            first_res = attack
+                    res_failures += 1
+                    if not first_res:
+                        first_res = x >> shift
+            left -= 1
+            if not left:
+                break
+            x = 0
+            need = a
     hr_set = VertexSet(first_hr, n) if first_hr else None
     res_set = VertexSet(first_res, n) if first_res else None
     if hr_set is not None:

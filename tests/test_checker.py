@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -65,6 +66,22 @@ def sparse_random_instances():
         kappa = Multicoloring(3, [rng.randrange(1, 8) for _ in range(n)])
         cases.append((Graph(n, edges), kappa))
     return cases
+
+
+def hub_instance(rng, n):
+    """A sparse instance on n vertices whose sampled attacks fail both
+    conditions on some draws but not all: vertex 0 is a hub with n // 10
+    leaves that alone hold color 3, so an attack that hits N[0] strands
+    them; the other vertices hold colors 1 and 2, on mean degree 3 edges
+    among themselves and a few to the hub."""
+    leaves = range(1, 1 + n // 10)
+    core = range(1 + n // 10, n)
+    pairs = [(u, v) for u in core for v in core if u < v]
+    edges = [(0, v) for v in leaves]
+    edges += [(0, v) for v in rng.sample(core, 2 + n // 30)]
+    edges += rng.sample(pairs, 3 * len(core) // 2)
+    masks = [0] + [4] * len(leaves) + [rng.randrange(1, 4) for _ in core]
+    return Graph(n, edges), Multicoloring(3, masks)
 
 
 def naive_attack_defeats(n, edges, k, colors, attack):
@@ -376,6 +393,50 @@ class TestSampleCheck:
             rep = assert_sample_matches_naive(g, kappa, a, 400, seed, workers)
             if boundary:
                 assert 0 < rep.hr_failures < 400 and 0 < rep.resistance_failures < 400
+
+    def test_every_vertex_stream_matches_a_naive_replay(self):
+        # above the pool size, n < 256 draws come in blocks cut to top
+        # bytes (255 is the last such n, 256 and 300 draw one call each);
+        # 5,000 trials at n = 40 draw several blocks
+        rng = random.Random(61)
+        for n, trials in ((255, 300), (256, 300), (300, 300), (40, 5000)):
+            g, kappa = hub_instance(rng, n)
+            for seed, workers in ((11, 1), (12, 3)):
+                rep = assert_sample_matches_naive(g, kappa, 4, trials, seed, workers)
+                assert 0 < rep.hr_failures < trials
+                assert 0 < rep.resistance_failures < trials
+
+    def test_getrandbits_of_32m_bits_is_m_outputs_least_significant_first(self):
+        # the block draw reads m outputs from one getrandbits(32 * m) call
+        for seed in (0, 7, 2**40 + 3):
+            for m in (1, 2, 5, checker._BLOCK_WORDS):
+                block = random.Random(seed).getrandbits(32 * m)
+                one = random.Random(seed).getrandbits
+                assert block == sum(one(32) << 32 * i for i in range(m))
+
+    def test_getrandbits_of_w_bits_is_the_top_of_one_output(self):
+        # _randbelow's w-bit draw, for w <= 32, uses one whole output
+        for seed in (0, 7, 2**40 + 3):
+            for w in range(1, 33):
+                short, whole = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert short.getrandbits(w) == whole.getrandbits(32) >> 32 - w
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        rng = random.Random(67)
+        pairs = list(combinations(range(40), 2))
+        g = Graph(40, rng.sample(pairs, 60))
+        kappa = Multicoloring(3, [rng.randrange(1, 8) for _ in range(40)])
+        sample_check(g, kappa, 4, 100, 0)  # caches what a first call builds
+        peaks = []
+        for trials in (100, 100_000):
+            tracemalloc.start()
+            try:
+                sample_check(g, kappa, 4, trials, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
     def test_part_list_past_its_cap_keeps_the_naive_counts(self, fills):
         # sampled trials at n = 23, a = 2 find more full-color parts than
