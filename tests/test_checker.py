@@ -440,7 +440,7 @@ class TestSampleCheck:
 
     def test_part_list_past_its_cap_keeps_the_naive_counts(self, fills):
         # sampled trials at n = 23, a = 2 find more full-color parts than
-        # the list keeps, and some of them fail
+        # the ring of slots keeps, and some of them fail
         g, kappa = sparse_random_instances()[1]
         rep = assert_sample_matches_naive(g, kappa, 2, 2000, 3)
         assert rep.resistance_failures > 0
@@ -536,7 +536,7 @@ def test_sparse_random_instances_agree_with_the_naive_reference():
 
 def test_part_list_past_its_cap_keeps_the_naive_verdicts(fills):
     # the exhaustive scan at n = 26, a = 3 finds more full-color parts than
-    # the list keeps, and passes
+    # the ring of slots keeps, and passes
     g, kappa = sparse_random_instances()[2]
     assert_report_matches_naive(g, kappa, 3)
     assert all(fills) and len(fills) > checker._RECENT_PARTS
