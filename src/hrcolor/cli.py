@@ -271,12 +271,14 @@ def cmd_verify_lemma(args: argparse.Namespace) -> int:
         "seed": report.seed,
         "violations": report.violations,
         "resistance_checked": report.resistance_checked,
+        "palette_short": report.palette_short,
     }
     human = (
         f"lemma {report.lemma_id} ({scope.description}): "
         f"trials={report.trials} seed={report.seed} "
         f"violations={report.violations} "
-        f"resistance_checked={report.resistance_checked} {verdict.upper()}\n"
+        f"resistance_checked={report.resistance_checked} "
+        f"palette_short={report.palette_short} {verdict.upper()}\n"
     )
     code = _emit(args.format, obj, human, verdict)
     if report.violations:

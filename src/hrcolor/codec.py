@@ -16,7 +16,9 @@ is checked once and written straight into the closed-neighborhood masks
 that become the `Graph` (through `Graph._from_closed`, which checks
 nothing again). Each color is checked once and written straight into its
 vertex's color mask; `Multicoloring.__init__` then range-checks each mask
-once more.
+once more. A valid instance-document edge, and a valid color list, passes
+one inline test; only a faulty one runs the checks that name its first
+fault, so no message is built for valid input.
 """
 
 from __future__ import annotations
@@ -121,23 +123,29 @@ def _coloring(raw_colors: Any, k: int, n: int | None = None) -> Multicoloring:
         )
     masks: list[int] = []
     for v, cs in enumerate(raw_colors):
-        if not isinstance(cs, list):
+        if type(cs) is not list:
             raise CodecError("schema", f"colors[{v}] must be a list")
-        vals = [_require_int(c, f"colors[{v}]") for c in cs]
-        for c in vals:
+        m = last = 0
+        for c in cs:
+            if type(c) is not int or not last < c <= k:
+                break
+            m |= 1 << (c - 1)
+            last = c
+        else:
+            masks.append(m)
+            continue
+        # not valid: every color is checked for its type, then its range,
+        # so a list that passes both is out of order
+        for c in cs:
+            _require_int(c, f"colors[{v}]")
+        for c in cs:
             if not 1 <= c <= k:
                 raise CodecError(
                     "color-range", f"colors[{v}] contains {c}, outside 1..{k}"
                 )
-        m = 0
-        for c in vals:
-            if m >> (c - 1):  # c is at most a color already listed
-                raise CodecError(
-                    "color-order",
-                    f"colors[{v}] must be sorted ascending with no duplicates",
-                )
-            m |= 1 << (c - 1)
-        masks.append(m)
+        raise CodecError(
+            "color-order", f"colors[{v}] must be sorted ascending with no duplicates"
+        )
     return Multicoloring(k, masks)
 
 
@@ -208,11 +216,17 @@ def decode_instance(text: str) -> ColoredInstance:
         raise CodecError("schema", "field 'edges' must be a list of [u, v] pairs")
     closed = [1 << u for u in range(n)]
     for pos, e in enumerate(raw_edges):
-        if not (isinstance(e, list) and len(e) == 2):
+        if not (type(e) is list and len(e) == 2):
             raise CodecError("schema", f"edge #{pos} must be a [u, v] pair")
-        u = _require_int(e[0], f"edges[{pos}][0]")
-        v = _require_int(e[1], f"edges[{pos}][1]")
-        _check_edge(u, v, n, closed, f"edge #{pos}")
+        u, v = e
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
+                and u != v and not closed[u] >> v & 1):
+            # not valid: these checks name the first fault and raise it
+            _require_int(u, f"edges[{pos}][0]")
+            _require_int(v, f"edges[{pos}][1]")
+            _check_edge(u, v, n, closed, f"edge #{pos}")
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
     kappa = _coloring(obj["colors"], k, n)
     return ColoredInstance(
         name=name, graph=Graph._from_closed(n, tuple(closed)), coloring=kappa,

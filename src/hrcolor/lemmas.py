@@ -8,19 +8,30 @@ result. Trials are reproducible from (seed, trials): draws happen in a
 fixed order (size, edges, palette, density flag, color memberships).
 
 The hold condition reads colors only, so each trial is settled from its
-colors first: when some `a_hr` vertices hold the whole palette, the
-disjunction holds and the trial's graph is never built. Only a trial that
-passes the hold test builds its graph from the drawn bits (or takes the
-suite's fixed cycle) and runs the resistance scan; the report counts these
-trials as `resistance_checked`. The suite's sizes are checked once per
-run, against its smallest graph.
+colors first. A trial that leaves some palette color on no vertex is
+settled by one OR of its masks: no `a_hr` vertices hold the palette, so it
+passes the hold test, and no part left by any attack holds it either, so
+it is not resistant and the disjunction holds; the report counts these
+trials as `palette_short`. When some `a_hr` vertices hold the whole
+palette, the disjunction holds and the trial's graph is never built. Only
+a full-palette trial that passes the hold test builds its graph from the
+drawn bits (or takes the suite's fixed cycle) and runs the resistance
+scan. The report counts the trials that passed the hold test, palette-short
+ones included, as `resistance_checked`. The suite's sizes are checked once
+per run, against its smallest graph.
+
+The size, palette and sparse-membership draws are exact replays of
+`randint` and `random()` through `getrandbits` (see `_trials`), so the
+trial stream is the one the documented draw order gives.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterator
 
 from .checker import _check_attack_size, _first_cover, _scan
 from .coloring import Multicoloring
@@ -80,6 +91,7 @@ class LemmaRunReport:
     violations: int
     first_violation: Violation | None
     resistance_checked: int  # trials that passed the hold test
+    palette_short: int  # of those, trials with a palette color on no vertex
 
 
 def _is_cycle(g: Graph) -> bool:
@@ -90,17 +102,22 @@ def _is_cycle(g: Graph) -> bool:
     return len(component_masks(closed, g.full_mask)) == 1
 
 
-def _random_masks(rng: random.Random, n: int, k: int, density: float) -> list[int]:
-    if density == 0.5:
-        return [rng.getrandbits(k) for _ in range(n)]
-    masks = []
-    for _ in range(n):
-        m = 0
-        for c in range(k):
-            if rng.random() < density:
-                m |= 1 << c
-        masks.append(m)
-    return masks
+def _below(getrandbits: Callable[[int], int], span: int) -> int:
+    """`randrange(span)` exactly as CPython draws it: `getrandbits` of
+    span's bit length, drawn again until the value is below span."""
+    width = span.bit_length()
+    r = getrandbits(width)
+    while r >= span:
+        r = getrandbits(width)
+    return r
+
+
+# `random()` builds a double from two outputs x, y as
+# ((x >> 5) * 2**26 + (y >> 6)) / 2**53, so `random() < 1/4` iff x < 2**30
+# and `random() < 3/4` iff x < 3 * 2**30: x's top byte is below 64 or 192.
+# Each table maps that byte to the ASCII digit of the membership.
+_SPARSE = bytes(48 + (b < 64) for b in range(256))
+_DENSE = bytes(48 + (b < 192) for b in range(256))
 
 
 def _trials(
@@ -112,24 +129,38 @@ def _trials(
     suite on its fixed cycle. An excluded cycle is redrawn; since every
     n-cycle has exactly n edges, only a draw of that size with n bits set
     is built to test it.
+
+    The draws are those of `randint` for the size and the palette, and of
+    n * k calls `random() < density` (vertex by vertex, color by color) for
+    the memberships at density 1/4 or 3/4, replayed exactly through
+    `getrandbits`: the memberships come from one block of 2 * n * k
+    outputs, least significant first, of which each pair's first output's
+    top byte decides.
     """
+    getrandbits = rng.getrandbits
+    n_span = scope.n_hi - scope.n_lo + 1
+    k_span = scope.k_hi - scope.k_lo + 1
     for _ in range(trials):
         if scope.fixed_cycle is not None:
             n, bits = scope.fixed_cycle, None
         else:
             while True:
-                n = rng.randint(scope.n_lo, scope.n_hi)
-                bits = rng.getrandbits(n * (n - 1) // 2)
+                n = scope.n_lo + _below(getrandbits, n_span)
+                bits = getrandbits(n * (n - 1) // 2)
                 if not (n == scope.excluded_cycle and bits.bit_count() == n
                         and _is_cycle(from_pair_bits(n, bits))):
                     break
-        k = scope.k_lo if scope.k_lo == scope.k_hi else rng.randint(scope.k_lo, scope.k_hi)
+        k = scope.k_lo if k_span == 1 else scope.k_lo + _below(getrandbits, k_span)
         # one in ten trials probes sparse and dense colorings
         if rng.random() < 0.1:
-            density = 0.25 if rng.random() < 0.5 else 0.75
+            table = _SPARSE if rng.random() < 0.5 else _DENSE
+            tops = getrandbits(64 * n * k).to_bytes(8 * n * k, "little")[3::8]
+            member = int(tops.translate(table)[::-1], 2)
+            word = (1 << k) - 1
+            masks = [member >> v * k & word for v in range(n)]
         else:
-            density = 0.5
-        yield n, bits, k, _random_masks(rng, n, k, density)
+            masks = [getrandbits(k) for _ in range(n)]
+        yield n, bits, k, masks
 
 
 def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
@@ -151,13 +182,20 @@ def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
     fixed = None if scope.fixed_cycle is None else cycle(scope.fixed_cycle)
     a_hr, r = scope.a_hr, scope.r
     violations = 0
-    checked = 0
+    scanned = 0
+    short = 0
     first: Violation | None = None
     for t, (n, bits, k, masks) in enumerate(_trials(scope, random.Random(seed), trials)):
-        # a covering set fails the hold condition, so the trial holds
-        if _first_cover(masks, (1 << k) - 1, a_hr) is not None:
+        full = (1 << k) - 1
+        if reduce(or_, masks) != full:
+            # a color on no vertex: no a_hr vertices hold the palette, and
+            # no part after any attack does, so the disjunction holds
+            short += 1
             continue
-        checked += 1
+        # a covering set fails the hold condition, so the trial holds
+        if _first_cover(masks, full, a_hr) is not None:
+            continue
+        scanned += 1
         g = fixed if bits is None else from_pair_bits(n, bits)
         kappa = Multicoloring(k, masks)
         if _scan(g, kappa, r) is None:  # resistant too: the disjunction fails
@@ -170,5 +208,6 @@ def run_lemma(lemma_id: int, trials: int, seed: int) -> LemmaRunReport:
         seed=seed,
         violations=violations,
         first_violation=first,
-        resistance_checked=checked,
+        resistance_checked=scanned + short,
+        palette_short=short,
     )

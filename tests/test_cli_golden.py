@@ -61,7 +61,9 @@ CASES = {
     "sweep-unknown": ["search", "--nonexistence", "-n", "4", "-a", "1", "--kmax", "2",
                       "--budget", "0"],
     "verify-lemma": ["verify-lemma", "--lemma", "5", "--trials", "50", "--seed", "0"],
-    # every trial counts as a violation, so the counterexample path runs
+    # every trial counts as a violation, so the counterexample path runs;
+    # each of the three trials has its full palette (palette_short=0), so
+    # each reaches the patched hold test and resistance scan
     "verify-lemma-violation": ["verify-lemma", "--lemma", "9", "--trials", "3", "--seed", "1"],
     "table": ["table", "--max-a", "2"],
     "usage-search-no-k": ["search", "--graph", "2k2.edges", "-a", "1"],

@@ -12,7 +12,9 @@ checkers instead.
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 
@@ -68,44 +70,78 @@ def replay(scope, trials, seed):
     return out
 
 
+def built(scope, trial):
+    """The graph and coloring of one trial as `_trials` yields it."""
+    n, bits, k, masks = trial
+    assert (bits is None) == (scope.fixed_cycle is not None)
+    g = cycle(n) if bits is None else from_pair_bits(n, bits)
+    return g, Multicoloring(k, masks)
+
+
+def palette_short(kappa):
+    """Whether some palette color is on no vertex."""
+    return reduce(or_, kappa.masks) != (1 << kappa.palette_size) - 1
+
+
 def recorded_run(monkeypatch, lemma_id, seed, fail_at=()):
-    """Run a suite with the hold test passing every trial and the
-    resistance scan replaced by a recorder that finds the trials at the
-    indices in `fail_at` resistant, so those count as violations; return
-    the report and the recorded calls as (graph, coloring, a_hr, r)."""
-    holds = []
-    calls = []
+    """Run a suite with the hold test passing every trial that reaches it
+    and the resistance scan replaced by a recorder that finds the trials at
+    the indices in `fail_at` resistant, so those count as violations.
+    Return the report, every trial's draws as `_trials` yielded them, and
+    the recorded scans as {trial index: (graph, coloring, a_hr, r)}."""
+    drawn = []
+    holds = {}
+    calls = {}
+    trials = lemmas._trials
+
+    def spy(*args):
+        for trial in trials(*args):
+            drawn.append(trial)
+            yield trial
 
     def no_cover(colors, full, a):
-        holds.append((list(colors), full, a))
+        holds[len(drawn) - 1] = (list(colors), full, a)
         return None
 
     def record(g, kappa, a):
         assert isinstance(g, Graph) and isinstance(kappa, Multicoloring)
-        colors, full, a_hr = holds[len(calls)]
+        t = len(drawn) - 1
+        colors, full, a_hr = holds[t]
         assert colors == list(kappa.masks) and full == (1 << kappa.palette_size) - 1
-        calls.append((g, kappa, a_hr, a))
-        return None if len(calls) - 1 in fail_at else (0,)
+        calls[t] = (g, kappa, a_hr, a)
+        return None if t in fail_at else (0,)
 
+    monkeypatch.setattr(lemmas, "_trials", spy)
     monkeypatch.setattr(lemmas, "_first_cover", no_cover)
     monkeypatch.setattr(lemmas, "_scan", record)
     report = lemmas.run_lemma(lemma_id, TRIALS, seed)
-    assert len(holds) == len(calls) == report.resistance_checked == TRIALS
-    return report, calls
+    # a palette-short trial passes the hold test without reaching it
+    scope = lemmas.SCOPES[lemma_id]
+    short = {t for t, trial in enumerate(drawn) if palette_short(built(scope, trial)[1])}
+    assert len(drawn) == report.resistance_checked == TRIALS
+    assert holds.keys() == calls.keys() == set(range(TRIALS)) - short
+    assert report.palette_short == len(short)
+    return report, drawn, calls
 
 
 @pytest.mark.parametrize("lemma_id", lemmas.LEMMA_IDS)
 def test_trial_stream_matches_the_documented_draw_order(monkeypatch, lemma_id):
     scope = lemmas.SCOPES[lemma_id]
     for seed in SEEDS:
-        report, calls = recorded_run(monkeypatch, lemma_id, seed)
+        report, drawn, calls = recorded_run(monkeypatch, lemma_id, seed)
         assert report.violations == 0 and report.first_violation is None
         want = replay(scope, TRIALS, seed)
-        assert len(calls) == TRIALS
-        for (g, kappa, a_hr, r), (g_want, kappa_want) in zip(calls, want):
-            assert (a_hr, r) == (scope.a_hr, scope.r)
+        assert len(drawn) == TRIALS
+        for t, (trial, (g_want, kappa_want)) in enumerate(zip(drawn, want)):
+            g, kappa = built(scope, trial)
             assert g == g_want and g.edges() == g_want.edges()
             assert kappa == kappa_want
+            if t in calls:
+                g, kappa, a_hr, r = calls[t]
+                assert (a_hr, r) == (scope.a_hr, scope.r)
+                assert g == g_want and g.edges() == g_want.edges()
+                assert kappa == kappa_want
+        assert report.palette_short == sum(palette_short(kappa) for _, kappa in want)
 
 
 # the real suites exclude the 7- and 8-cycle, which a 200-trial run almost
@@ -123,9 +159,10 @@ def test_excluded_cycles_are_redrawn(monkeypatch, n_lo, n_hi, excluded):
 
     monkeypatch.setattr(lemmas, "_is_cycle", spy)
     for seed in SEEDS:
-        _, calls = recorded_run(monkeypatch, 4, seed)
+        _, drawn, calls = recorded_run(monkeypatch, 4, seed)
         want = replay(scope, TRIALS, seed)
-        assert [(g, kappa) for g, kappa, _, _ in calls] == want
+        assert [built(scope, trial) for trial in drawn] == want
+        assert all((g, kappa) == want[t] for t, (g, kappa, _, _) in calls.items())
         assert not any(g.n == excluded and naive_is_cycle(g) for g, _ in want)
         assert want != replay(replace(scope, excluded_cycle=None), TRIALS, seed)
     # a cycle has as many edges as vertices, so only such draws are built
@@ -138,11 +175,70 @@ def test_excluded_cycles_are_redrawn(monkeypatch, n_lo, n_hi, excluded):
 def test_violations_keep_the_first_failing_trial(monkeypatch, lemma_id):
     scope = lemmas.SCOPES[lemma_id]
     for seed in SEEDS:
-        chosen = random.Random(seed).randrange(TRIALS - 1)
-        report, _ = recorded_run(monkeypatch, lemma_id, seed, {chosen, TRIALS - 1})
-        g, kappa = replay(scope, TRIALS, seed)[chosen]
+        want = replay(scope, TRIALS, seed)
+        full = [t for t, (_, kappa) in enumerate(want) if not palette_short(kappa)]
+        short = set(range(TRIALS)) - set(full)
+        chosen = random.Random(seed).choice(full[:-1])
+        # palette-short trials never reach the scan, so they never violate
+        report, _, _ = recorded_run(monkeypatch, lemma_id, seed, {chosen, full[-1]} | short)
+        g, kappa = want[chosen]
         assert report.violations == 2
         assert report.first_violation == lemmas.Violation(chosen, g, kappa, scope.a_hr, scope.r)
+
+
+# CPython facts that `_trials` relies on to replay `randint` and the
+# sparse and dense `random()` memberships through `getrandbits`; an
+# interpreter that breaks one fails here by name, not as a drifted stream
+DRAW_SEEDS = (0, 7, 2**40 + 3)
+
+
+def from_outputs(x, y):
+    """CPython's `random()` from its two 32-bit outputs."""
+    return ((x >> 5) * 2**26 + (y >> 6)) / 2**53
+
+
+def test_randint_is_lo_plus_rejection_sampled_getrandbits():
+    for seed in DRAW_SEEDS:
+        for lo, hi in ((3, 3), (3, 7), (4, 8), (4, 16), (1, 9), (0, 2**40)):
+            rng, bits = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                span = hi - lo + 1
+                r = bits.getrandbits(span.bit_length())
+                while r >= span:
+                    r = bits.getrandbits(span.bit_length())
+                assert rng.randint(lo, hi) == lo + r
+                assert lemmas._below(rng.getrandbits, span) == bits.randint(lo, hi) - lo
+            assert rng.getstate() == bits.getstate()
+
+
+def test_random_consumes_exactly_two_outputs():
+    for seed in DRAW_SEEDS:
+        rng, outputs = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            x, y = outputs.getrandbits(32), outputs.getrandbits(32)
+            assert rng.random() == from_outputs(x, y)
+        assert rng.getstate() == outputs.getstate()
+
+
+def test_random_below_a_quarter_or_three_quarters_reads_the_first_output():
+    for seed in DRAW_SEEDS:
+        rng, outputs = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            x, _ = outputs.getrandbits(32), outputs.getrandbits(32)
+            u = rng.random()
+            assert (u < 0.25) == (x < 2**30) and (u < 0.75) == (x < 3 * 2**30)
+    # at the thresholds the second output cannot tip the comparison
+    for below in (2**30, 3 * 2**30):
+        assert from_outputs(below - 1, 2**32 - 1) < below / 2**32
+        assert not from_outputs(below, 0) < below / 2**32
+
+
+def test_getrandbits_of_64m_bits_is_2m_outputs_least_significant_first():
+    for seed in DRAW_SEEDS:
+        for m in (1, 2, 5, 16 * 9):
+            block = random.Random(seed).getrandbits(64 * m)
+            one = random.Random(seed).getrandbits
+            assert block == sum(one(32) << 32 * i for i in range(2 * m))
 
 
 # scopes whose disjunction is false, so violations are real; each still
@@ -152,6 +248,9 @@ FALSE_SCOPES = [
     lemmas.LemmaScope(4, "the 11-cycle with 6 colors", 11, 11, 11, None, 6, 6, 2, 1),
     lemmas.LemmaScope(4, "graphs on 3 to 12 vertices other than the triangle",
                       None, 3, 12, 3, 4, 6, 1, 1),
+    # about half of these trials leave some color on no vertex
+    lemmas.LemmaScope(4, "graphs on 3 to 5 vertices with 9 colors",
+                      None, 3, 5, None, 9, 9, 1, 1),
 ]
 
 
@@ -162,11 +261,13 @@ def test_real_violations_match_the_naive_checkers(monkeypatch, scope):
     for seed in SEEDS:
         report = lemmas.run_lemma(4, TRIALS, seed)
         held = []
+        short = 0
         first = None
         for t, (g, kappa) in enumerate(replay(scope, TRIALS, seed)):
             edges = list(g.edges())
             colors = [{c + 1 for c in range(kappa.palette_size) if m >> c & 1}
                       for m in kappa.masks]
+            short += set().union(*colors) != set(range(1, kappa.palette_size + 1))
             if not naive_check_hr(g.n, edges, kappa.palette_size, colors, scope.a_hr)[0]:
                 continue
             resistant = naive_check_resistant(g.n, edges, kappa.palette_size, colors, scope.r)[0]
@@ -174,6 +275,7 @@ def test_real_violations_match_the_naive_checkers(monkeypatch, scope):
             if resistant and first is None:
                 first = lemmas.Violation(t, g, kappa, scope.a_hr, scope.r)
         assert report.resistance_checked == len(held)
+        assert report.palette_short == short
         assert report.violations == sum(held)
         assert report.first_violation == first
         seen += report.violations
