@@ -219,8 +219,9 @@ def decode_instance(text: str) -> ColoredInstance:
         if not (type(e) is list and len(e) == 2):
             raise CodecError("schema", f"edge #{pos} must be a [u, v] pair")
         u, v = e
+        # closed[u] holds u itself, so a self-loop fails the last test too
         if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
-                and u != v and not closed[u] >> v & 1):
+                and not closed[u] >> v & 1):
             # not valid: these checks name the first fault and raise it
             _require_int(u, f"edges[{pos}][0]")
             _require_int(v, f"edges[{pos}][1]")

@@ -140,6 +140,8 @@ def _trials(
     getrandbits = rng.getrandbits
     n_span = scope.n_hi - scope.n_lo + 1
     k_span = scope.k_hi - scope.k_lo + 1
+    # `_below` of an empty range would draw forever where randint raises
+    assert n_span >= 1 and k_span >= 1, "empty size or palette range"
     for _ in range(trials):
         if scope.fixed_cycle is not None:
             n, bits = scope.fixed_cycle, None

@@ -115,6 +115,12 @@ class TestDecodeInstance:
             '{"n": 1, "edges": [], "k": 0, "colors": [[]]}',
             '{"n": true, "edges": [], "k": 1, "colors": [[]]}',
             '{"n": 0, "edges": [], "k": 1, "colors": [], "extra": 1}',
+            # endpoints and colors that would otherwise be valid
+            '{"n": 2, "edges": [[true, 0]], "k": 1, "colors": [[], []]}',
+            '{"n": 2, "edges": [[0, true]], "k": 1, "colors": [[], []]}',
+            '{"n": 2, "edges": [[0, 1.0]], "k": 1, "colors": [[], []]}',
+            '{"n": 1, "edges": [], "k": 2, "colors": [[true]]}',
+            '{"n": 1, "edges": [], "k": 2, "colors": [[1, 2.0]]}',
         ):
             with pytest.raises(CodecError) as exc:
                 decode_instance(text)

@@ -4,9 +4,9 @@
 the color-only hold test, and reuses one cycle per run; the replay here
 builds every trial's graph from an explicit edge list and a fresh `cycle`,
 so any change to a draw or to a built instance shows. The stream tests
-let every trial through the hold test and record what reaches the
-resistance scan; the false scopes judge the replay with the naive
-checkers instead.
+record every trial `_trials` yields, let every full-palette trial through
+the hold test and record what reaches the resistance scan; the false
+scopes judge the replay with the naive checkers instead.
 """
 
 import random
