@@ -19,8 +19,8 @@ first BFS level whose colors reach the palette and returns the part it
 flooded. Any such part P that an attack leaves whole proves the attack
 resisted. Closed neighborhoods are symmetric, so a vertex removes part of
 P (hits P) iff it lies in N[P], the union of closed[u] over u in P. The
-resistance walk `_scan` visits attack prefixes depth first in rank order
-and keeps the last `_RECENT_PARTS` parts its fills returned. Take a prefix
+walk `_walk` visits attack prefixes depth first in rank order and keeps
+the last `_RECENT_PARTS` parts its fills returned. Take a prefix
 with s attackers still to add, all from its tail lo..n-1, and call a kept
 part unhit when no attacker of the prefix hits it. The walk skips every
 attack below the prefix when
@@ -37,6 +37,14 @@ whole. Every skipped attack therefore leaves a full-color part whole and
 is resisted. Every attack the walk does reach hits every kept part and is
 flooded, in rank order, so the first failure it finds is the first
 failing attack of a plain scan over all C(n, a) sets.
+
+These rules use one fact about a part P: an attack that misses N[P]
+leaves P whole, inside one surviving component. So they hold for any
+part test that a connected superset of a passing part also passes, and
+`_walk` takes the test as a flood function. Two tests use it: "holds
+every color", which the resistance walk `_scan` floods with
+`_full_color_part`, and "has more than a vertices", whose flood in
+`search.blocking_attack` returns a surviving component of that size.
 
 `check_highly` reports the hold test's and the walk's witnesses, and as
 `attack_sets_examined` the count a sequential scan needs to settle both
@@ -72,7 +80,7 @@ from typing import Callable, Iterator, Sequence
 from .coloring import Multicoloring
 from .graph import Graph, VertexSet, _bits
 
-# full-color parts the walk or a sample keeps for reuse, one per slot of a
+# parts the walk or a sample keeps for reuse, one per slot of a
 # ring; the walk pays one memo entry per distinct set of unhit slots
 _RECENT_PARTS = 16
 # Mersenne Twister outputs a sampler draws at a time for n < 256: 4 KB
@@ -247,12 +255,27 @@ def _fill_slot(
 
 def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     """The first attack in rank order that leaves no full-color part, or
-    None when the coloring is `a`-resistant.
+    None when the coloring is `a`-resistant: `_walk` with the full-color
+    flood."""
+    full = (1 << kappa.palette_size) - 1
+    return _walk(g, a, partial(_full_color_part, g.closed_masks, kappa.masks, full))
+
+
+def _walk(g: Graph, a: int, flood: Callable[[int], int]) -> tuple[int, ...] | None:
+    """The first attack in rank order whose survivors hold no part, or None
+    when every attack leaves one.
+
+    `flood(survivors)` returns a connected set of the `survivors` mask
+    that passes the walk's part test, or 0 when no component of the
+    survivors passes it. Any connected superset of a passing part must
+    pass too, so that an attack that misses the N[P] of a kept part P
+    leaves a passing component and is rightly skipped (see the module
+    docstring).
 
     A depth-first walk over attack prefixes in rank order, on an explicit
     stack, that skips what the module docstring's rules allow (`bound`).
-    The first attack is flooded before anything is set up, so a coloring
-    that fails it costs one fill and none of the set-up: nearly every
+    The first attack is flooded before anything is set up, so a walk that
+    fails it costs one fill and none of the set-up: nearly every
     resistance check of a lemma trial fails there. The walk keeps the last
     `_RECENT_PARTS` parts its fills returned in a ring of slots, each with
     its N[P], and for each vertex the slots whose N[P] holds it, so adding
@@ -264,19 +287,14 @@ def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     """
     n = g.n
     closed = g.closed_masks
-    colors = kappa.masks
-    full = (1 << kappa.palette_size) - 1
     all_mask = g.full_mask
 
-    def flood(removed: int) -> int:
-        return _full_color_part(closed, colors, full, all_mask & ~removed)
-
     # no part is known before the first attack, so it is always flooded
-    if not (first := flood(reduce(or_, closed[:a]))):
+    if not (first := flood(all_mask & ~reduce(or_, closed[:a]))):
         return tuple(range(a))
     # suffix[lo]: the removed mask of all the vertices lo..n-1
     suffix = [*accumulate(reversed(closed), or_, initial=0)][::-1]
-    nbhd = [0] * _RECENT_PARTS  # N[P] of the full-color part P in each slot
+    nbhd = [0] * _RECENT_PARTS  # N[P] of the part P in each slot
     hits = [0] * n  # the slots whose N[P] holds each vertex
     fills = 0  # parts found so far; the next goes to slot fills % _RECENT_PARTS
     # unhit slots -> (the AND of their N[P], the least over them of the
@@ -331,12 +349,12 @@ def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
             cand = bound(unhit, lo, 1)[1]
             for v in _bits(cand):
                 if cand >> v & 1:  # no part found at an earlier v misses it
-                    if not (part := flood(rm | closed[v])):
+                    if not (part := flood(all_mask & ~(rm | closed[v]))):
                         return (*(frame[2] for frame in stack), v)
                     cand &= keep(part)
         elif n - lo == s:  # one attack: the whole tail
             if bound(unhit, lo, s)[0] >= lo:
-                if not (part := flood(rm | suffix[lo])):
+                if not (part := flood(all_mask & ~(rm | suffix[lo]))):
                     return (*(frame[2] for frame in stack), *range(lo, n))
                 keep(part)
         else:

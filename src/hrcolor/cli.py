@@ -89,6 +89,8 @@ def _emit(fmt: str, obj: dict[str, Any], human: str, verdict: str,
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.instance is not None:
+        if args.graph is not None or args.coloring is not None:
+            raise ValueError("--instance cannot be combined with --graph or --coloring")
         inst = codec.decode_instance(_read(args.instance))
         g, kappa, name = inst.graph, inst.coloring, inst.name
         a = args.attackers if args.attackers is not None else inst.attackers
@@ -166,6 +168,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     witness = None
+    if args.nonexistence and (args.graph is not None or args.k is not None or args.min_colors):
+        raise ValueError("--nonexistence cannot be combined with --graph, -k or --min-colors")
+    if args.min_colors and args.k is not None:
+        raise ValueError("--min-colors cannot be combined with -k")
     if args.nonexistence:
         if args.n is None:
             raise ValueError("--nonexistence needs -n")

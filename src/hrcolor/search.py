@@ -31,9 +31,12 @@ a-attack leaves a surviving component with more than a vertices.
 Duplicating a class keeps both conditions, so a graph that passes the test
 admits a coloring for every large enough palette and one that fails it
 admits none. `blocking_attack` returns the first attack that fails the
-test. `decide` answers such graphs unsat with 0 nodes, and it drops
-components of at most a vertices, which can never hold every color, from
-the search's attack lists.
+test. It is the checker's attack walk with surviving components of more
+than a vertices as its parts: a connected superset of such a component is
+as large, so the walk's skip rules hold for them (see `checker`).
+`decide` answers such graphs unsat with 0 nodes, and it drops components
+of at most a vertices, which can never hold every color, from the
+search's attack lists.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import constructions
-from .checker import _check_attack_size, check_highly
+from .checker import _check_attack_size, _walk, check_highly
 from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks, from_pair_bits
 
@@ -152,13 +155,16 @@ def blocking_attack(g: Graph, a: int) -> tuple[int, ...] | None:
 
     Such an attack shows that g admits no highly a-resistant multicoloring
     for any palette; when there is none, the complement coloring is one.
+    The attacks are walked by `checker._walk`, whose flood returns the
+    first surviving component of more than `a` vertices.
     """
     _check_attack_size(g.n, a)
-    attacks = combinations(range(g.n), a)
-    for attack, comps in zip(attacks, _attack_component_masks(g, a)):
-        if all(c.bit_count() <= a for c in comps):
-            return attack
-    return None
+
+    def large(survivors: int) -> int:
+        comps = component_masks(g.closed_masks, survivors)
+        return next((c for c in comps if c.bit_count() > a), 0)
+
+    return _walk(g, a, large)
 
 
 def _ors(lists: list[Sequence[int]]) -> list[int]:
@@ -185,6 +191,11 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     are built only when the search descends. The one leaf that passes both
     tests is confirmed with check_highly, so a SAT witness always replays
     through the checker.
+
+    The budget counts nodes only. It does not bound the set-up: unless an
+    attack blocks the graph, the attack lists and the a-sets are listed,
+    C(n, a) of each, before the first node, so that clique_partition(5) at
+    a = 5 takes seconds to return UNKNOWN at budget 0.
     """
     _check_attack_size(g.n, a)
     if k < 1:

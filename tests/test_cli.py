@@ -162,6 +162,16 @@ class TestCheck:
             assert (rc, out) == (2, "")
             assert err == "error: check needs --instance, or --graph with --coloring\n"
 
+    @pytest.mark.parametrize("extra", [["--graph"], ["--coloring"], ["--graph", "--coloring"]])
+    def test_instance_with_graph_or_coloring_is_a_usage_error(
+        self, capsys, k2_instance, two_k2_edges, extra
+    ):
+        paths = {"--graph": two_k2_edges, "--coloring": k2_instance}
+        argv = [arg for flag in extra for arg in (flag, paths[flag])]
+        rc, out, err = run(capsys, "check", "--instance", k2_instance, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: --instance cannot be combined with --graph or --coloring\n"
+
 
 class TestSearch:
     def test_triangle_unsat(self, capsys, k3_edges):
@@ -253,6 +263,23 @@ class TestSearch:
         )
         assert rc == 2
         assert out == "" and err == "error: budget must be non-negative\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--graph", "/nonexistent"], ["-k", "5"], ["--min-colors"],
+         ["--graph", "/nonexistent", "-k", "5", "--min-colors"]],
+    )
+    def test_nonexistence_with_another_mode_is_a_usage_error(self, capsys, extra):
+        rc, out, err = run(capsys, "search", "--nonexistence", "-n", "3", "-a", "1",
+                           "--kmax", "2", *extra)
+        assert (rc, out) == (2, "")
+        assert err == "error: --nonexistence cannot be combined with --graph, -k or --min-colors\n"
+
+    def test_min_colors_with_a_palette_to_decide_is_a_usage_error(self, capsys, two_k2_edges):
+        rc, out, err = run(capsys, "search", "--graph", two_k2_edges, "-a", "1",
+                           "--min-colors", "--kmax", "3", "-k", "2")
+        assert (rc, out) == (2, "")
+        assert err == "error: --min-colors cannot be combined with -k\n"
 
     def test_usage_errors(self, capsys, two_k2_edges):
         rc, _, _ = run(capsys, "search", "--graph", two_k2_edges, "-a", "1")

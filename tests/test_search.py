@@ -350,9 +350,66 @@ def isomorphism_key(n: int, edges: list[tuple[int, int]]) -> tuple:
     )
 
 
+def naive_blocking_attack(n: int, edges: list[tuple[int, int]], a: int):
+    """The first a-attack in rank order that leaves only components of at
+    most a vertices, by the naive flood fill, or None."""
+    return next(
+        (x for x in combinations(range(n), a)
+         if all(len(c) <= a for c in naive_components(*_attacked(n, edges, x)))),
+        None,
+    )
+
+
 class TestExistenceCriterion:
     """A graph admits a highly a-resistant multicoloring for some palette
     iff every a-attack leaves a component with more than a vertices."""
+
+    def test_every_labeled_graph_up_to_five_vertices_matches_the_naive_scan(self):
+        cases = 0
+        for n in range(1, 6):
+            for bits in range(1 << n * (n - 1) // 2):
+                g = from_pair_bits(n, bits)
+                edges = list(g.edges())
+                for a in range(1, n + 1):
+                    assert blocking_attack(g, a) == naive_blocking_attack(n, edges, a), (
+                        n, edges, a)
+                    cases += 1
+        assert cases == 5405
+
+    def test_relabeled_catalog_graphs_match_the_naive_scan(self):
+        # at the design size every catalog graph passes; one attacker more
+        # blocks it, so both outcomes of the walk are compared
+        checked = 0
+        for seed, inst in enumerate(catalog()):
+            n = inst.graph.n
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in inst.graph.edges()]
+            g = Graph(n, edges)
+            for a in (inst.attackers, inst.attackers + 1):
+                if comb(n, a) > 15_000:
+                    continue
+                assert blocking_attack(g, a) == naive_blocking_attack(n, edges, a), (
+                    inst.name, a)
+                checked += 1
+        assert checked == 10
+
+    @pytest.mark.parametrize("a", [5, 6, 7])
+    def test_clique_partition_settles_in_a_plus_one_floods(self, monkeypatch, a):
+        # C(64, 7) is about 6.2e8 attacks; a+1 disjoint cliques, each one
+        # whole component, settle the walk
+        floods = []
+        real = search._walk
+
+        def counting(g, a, flood):
+            def counted(survivors):
+                floods.append(survivors)
+                return flood(survivors)
+            return real(g, a, counted)
+
+        monkeypatch.setattr(search, "_walk", counting)
+        assert blocking_attack(clique_partition(a).graph, a) is None
+        assert 0 < len(floods) <= a + 1
 
     def test_every_labeled_graph_up_to_four_vertices(self):
         raw: dict[tuple, list[int] | None] = {}  # the raw search per shape
@@ -362,11 +419,7 @@ class TestExistenceCriterion:
                 edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
                 g = Graph(n, edges)
                 for a in range(1, n + 1):
-                    expected = next(
-                        (x for x in combinations(range(n), a)
-                         if all(len(c) <= a for c in naive_components(*_attacked(n, edges, x)))),
-                        None,
-                    )
+                    expected = naive_blocking_attack(n, edges, a)
                     attack = blocking_attack(g, a)
                     assert attack == expected, (n, edges, a)
                     d = decide(g, a, a + 1, 0)
@@ -390,9 +443,9 @@ class TestExistenceCriterion:
         checked = 0
         for inst in catalog():
             n, a = inst.graph.n, inst.attackers
+            assert blocking_attack(inst.graph, a) is None, inst.name
             if comb(n, a) > 15_000:
                 continue  # clique-partition:5 would need 376,992 colors
-            assert blocking_attack(inst.graph, a) is None, inst.name
             k, sets = complement_color_sets(n, a)
             kappa = Multicoloring.from_sets(k, [sorted(s) for s in sets])
             assert check_highly(inst.graph, kappa, a).highly_resistant, inst.name
