@@ -46,6 +46,20 @@ every color", which the resistance walk `_scan` floods with
 `_full_color_part`, and "has more than a vertices", whose flood in
 `search.blocking_attack` returns a surviving component of that size.
 
+A graph of two or more components is first settled component by
+component. Let κ on component H_i be b-resistant for every b <= ρ_i and
+no larger b, with ρ_i = -1 when H_i lacks a color (0 attackers already
+leave it no full-color part). Resistance only weakens as attackers are
+added, so this is well defined. Then κ is a-resistant on G iff
+Σ(ρ_i + 1) >= a + 1: ρ_i + 1 attackers inside each H_i leave no full-color
+part anywhere, and an a-attack, which puts fewer than ρ_i + 1 of them in
+some H_i when the sum exceeds a, leaves a full-color part there. `_scan`
+counts 1 for each full-color component and then raises the count round
+by round, walking each component with b = 1, 2, ... attackers, and
+returns None as soon as the count passes `a`. Only a coloring that is
+not `a`-resistant, or a connected graph, reaches the whole-graph walk,
+which finds the rank-first witness.
+
 `check_highly` reports the hold test's and the walk's witnesses, and as
 `attack_sets_examined` the count a sequential scan needs to settle both
 verdicts, computed from the witnesses' ranks; sets the walk skips or
@@ -75,10 +89,10 @@ from functools import cache, partial, reduce
 from itertools import accumulate, chain, combinations
 from math import ceil, comb, log
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Multicoloring
-from .graph import Graph, VertexSet, _bits
+from .graph import Graph, VertexSet, _bits, component_masks
 
 # parts the walk or a sample keeps for reuse, one per slot of a
 # ring; the walk pays one memo entry per distinct set of unhit slots
@@ -255,10 +269,88 @@ def _fill_slot(
 
 def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     """The first attack in rank order that leaves no full-color part, or
-    None when the coloring is `a`-resistant: `_walk` with the full-color
-    flood."""
+    None when the coloring is `a`-resistant.
+
+    A graph of two or more components is first settled component by
+    component (`_components_resist`); only when the components fall short,
+    and on a connected graph, does `_walk` with the full-color flood run on
+    the whole graph, which finds the rank-first failing attack.
+    """
+    closed = g.closed_masks
+    colors = kappa.masks
     full = (1 << kappa.palette_size) - 1
-    return _walk(g, a, partial(_full_color_part, g.closed_masks, kappa.masks, full))
+    comps = component_masks(closed, g.full_mask)
+    if len(comps) > 1 and _components_resist(closed, colors, full, comps, a):
+        return None
+    return _walk(g, a, partial(_full_color_part, closed, colors, full))
+
+
+def _components_resist(
+    closed: tuple[int, ...], colors: tuple[int, ...], full: int, comps: list[int], a: int
+) -> bool:
+    """Whether the components `comps` make the coloring `a`-resistant,
+    that is, Σ(ρ_i + 1) >= a + 1 (see the module docstring).
+
+    A component that holds every color counts 1 for ρ_i >= 0. Then rounds
+    b = 1, 2, ... walk each component still counting with `b` attackers:
+    one that resists counts 1 more, one that fails stops counting, and one
+    of m vertices stops after b = m - 1, since m attackers remove it.
+    Returns True once the count passes `a`, False when no component is
+    left counting below it.
+    """
+    total = 0
+    alive: list[list[int]] = []  # the vertices of each counted component with m > 1
+    for comp in comps:
+        vs = [*_bits(comp)]
+        cu = 0
+        for u in vs:
+            cu |= colors[u]
+        if cu == full:
+            total += 1
+            if len(vs) > 1:
+                alive.append(vs)
+    if total > a:
+        return True
+    # relabelled when first walked, since a round can end at any component
+    walks: Iterable[tuple[Graph, Callable[[int], int]]] = (
+        _induced(closed, colors, full, vs) for vs in alive
+    )
+    b = 1
+    while True:
+        left = []
+        for h, flood in walks:
+            if _walk(h, b, flood) is None:
+                total += 1
+                if total > a:
+                    return True
+                if h.n > b + 1:
+                    left.append((h, flood))
+        if not left:
+            return False
+        walks = left
+        b += 1
+
+
+def _induced(
+    closed: tuple[int, ...], colors: tuple[int, ...], full: int, vs: list[int]
+) -> tuple[Graph, Callable[[int], int]]:
+    """The subgraph induced on the component `vs` (ascending), with vs[i]
+    relabelled i, and its full-color flood. A component's closed
+    neighborhoods lie inside it, so each relabels bit by bit."""
+    relabel = {1 << u: 1 << i for i, u in enumerate(vs)}
+    sub = []
+    for u in vs:
+        m = closed[u]
+        x = 0
+        while m:
+            b = m & -m
+            x |= relabel[b]
+            m ^= b
+        sub.append(x)
+    masks = tuple(sub)
+    return Graph._from_closed(len(vs), masks), partial(
+        _full_color_part, masks, tuple(colors[u] for u in vs), full
+    )
 
 
 def _walk(g: Graph, a: int, flood: Callable[[int], int]) -> tuple[int, ...] | None:

@@ -88,6 +88,8 @@ def _emit(fmt: str, obj: dict[str, Any], human: str, verdict: str,
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed needs --sample")
     if args.instance is not None:
         if args.graph is not None or args.coloring is not None:
             raise ValueError("--instance cannot be combined with --graph or --coloring")
@@ -104,7 +106,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("no attack size: pass -a or use an instance that records one")
     n, k = g.n, kappa.palette_size
     if args.sample is not None:
-        rep = sample_check(g, kappa, a, args.sample, args.seed, workers=args.threads)
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        rep = sample_check(g, kappa, a, args.sample, seed, workers=args.threads)
         obj: dict[str, Any] = {
             "report": "sample-check",
             "name": name,
@@ -172,6 +175,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("--nonexistence cannot be combined with --graph, -k or --min-colors")
     if args.min_colors and args.k is not None:
         raise ValueError("--min-colors cannot be combined with -k")
+    if args.min_colors and args.n is not None:
+        raise ValueError("--min-colors cannot be combined with -n")
+    if args.k is not None and (args.n is not None or args.kmax is not None):
+        raise ValueError("-k cannot be combined with -n or --kmax")
     if args.nonexistence:
         if args.n is None:
             raise ValueError("--nonexistence needs -n")
@@ -383,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attack size (defaults to the instance's value)")
     p_check.add_argument("--sample", type=int, default=None, metavar="TRIALS",
                          help="sample attack sets instead of full enumeration")
-    p_check.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help=f"sampling seed (default: {DEFAULT_SEED})")
+    p_check.add_argument("--seed", type=int, default=None,
+                         help=f"sampling seed, with --sample (default: {DEFAULT_SEED})")
     add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 

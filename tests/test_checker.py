@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -18,8 +19,8 @@ from hrcolor.checker import (
     substream_seed,
 )
 from hrcolor.coloring import Multicoloring
-from hrcolor.constructions import c7_pair, c8c8p5, clique_partition
-from hrcolor.graph import Graph, VertexSet, complete, cycle, disjoint_union
+from hrcolor.constructions import c7_pair, c8c8p5, catalog, clique_partition
+from hrcolor.graph import Graph, VertexSet, complete, component_masks, cycle, disjoint_union
 
 from oracles import (
     _attacked,
@@ -96,7 +97,7 @@ def naive_attack_defeats(n, edges, k, colors, attack):
 
 def assert_report_matches_naive(g, kappa, a):
     """check_highly's verdicts, witnesses and examined count against the
-    naive reference."""
+    naive reference; returns the naive resistance verdict and witness."""
     n, edges = g.n, list(g.edges())
     k = kappa.palette_size
     colors = [set(kappa.colors_of(v)) for v in range(n)]
@@ -114,6 +115,7 @@ def assert_report_matches_naive(g, kappa, a):
         None if rep.resistance_witness is None else rep.resistance_witness.vertices()
     ) == res_wit
     assert rep.attack_sets_examined == examined
+    return res_ok, res_wit
 
 
 @pytest.fixture
@@ -788,10 +790,10 @@ class ReadCounter(tuple):
 
 @pytest.mark.parametrize("seed", [None, 5])
 def test_clique_partition_five_is_settled_without_visiting_its_attacks(fills, seed):
-    # six disjoint full-color cliques: no 5-attack hits them all, so once
-    # six fills have found them the walk skips every other attack (a scan
-    # reads a closed mask per attacker of each of the C(36,5) sets), and
-    # the report still counts every set of a sequential scan
+    # six disjoint full-color cliques: a 5-attack cannot reach all six
+    # components, so the components settle the check before any fill (a
+    # scan reads a closed mask per attacker of each of the C(36,5) sets),
+    # and the report still counts every set of a sequential scan
     inst = clique_partition(5)
     g, kappa = (inst.graph, inst.coloring) if seed is None else relabeled(inst, seed)
     closed = ReadCounter(g.closed_masks)
@@ -800,7 +802,7 @@ def test_clique_partition_five_is_settled_without_visiting_its_attacks(fills, se
     assert rep.attack_sets_examined == comb(36, 5)
     assert closed.reads < 1000
     if seed is None:
-        assert len(fills) == 6 and all(fills)
+        assert fills == []
 
 
 DEEP_N = 1500
@@ -857,7 +859,8 @@ def test_attack_sizes_near_n_on_a_long_path(a):
 )
 def test_walk_floods_only_attacks_that_hit_every_kept_part(monkeypatch, case):
     # an attack that leaves a kept part whole is resisted and must not be
-    # flooded; the first case finds more parts than the walk keeps
+    # flooded; the first case finds more parts than the walk keeps. The
+    # walk runs on the whole graph, so every kept part is in one numbering
     (g, kappa), a = case
     real = checker._full_color_part
     kept = []
@@ -870,4 +873,107 @@ def test_walk_floods_only_attacks_that_hit_every_kept_part(monkeypatch, case):
         return part
 
     monkeypatch.setattr(checker, "_full_color_part", checked)
-    assert_report_matches_naive(g, kappa, a)
+    n, k = g.n, kappa.palette_size
+    flood = partial(checker._full_color_part, g.closed_masks, kappa.masks, (1 << k) - 1)
+    colors = [set(kappa.colors_of(v)) for v in range(n)]
+    _, witness = naive_check_resistant(n, list(g.edges()), k, colors, a)
+    assert checker._walk(g, a, flood) == witness
+
+
+def random_union(rng):
+    """2 to 4 random connected parts on at most 10 vertices in all, each a
+    random tree plus random chords, on shuffled labels so that a part is
+    rarely a range of them, and a random coloring with k <= 4."""
+    parts = rng.randint(2, 4)
+    n = rng.randint(parts, 10)
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        vs = label[lo:hi]
+        for i in range(1, len(vs)):
+            edges.append((vs[rng.randrange(i)], vs[i]))
+        for u, v in combinations(vs, 2):
+            if rng.random() < 0.3 and (u, v) not in edges and (v, u) not in edges:
+                edges.append((u, v))
+    k = rng.randint(1, 4)
+    color_sets = random_color_sets(rng, n, k, rng.choice((0.5, 0.75, 0.9)))
+    g = Graph(n, [(min(e), max(e)) for e in edges])
+    return g, Multicoloring.from_sets(k, [sorted(c) for c in color_sets]), parts
+
+
+@pytest.fixture
+def whole_walks(monkeypatch):
+    """The graphs `checker._walk` is called on, in call order."""
+    real = checker._walk
+    seen = []
+
+    def recording(g, a, flood):
+        seen.append(g)
+        return real(g, a, flood)
+
+    monkeypatch.setattr(checker, "_walk", recording)
+    return seen
+
+
+def test_disjoint_unions_are_settled_by_their_components(whole_walks):
+    # a coloring of a graph with components H_i is a-resistant iff
+    # sum(rho_i + 1) >= a + 1, so the components settle every resistant
+    # check and the whole-graph walk runs exactly on the failing ones,
+    # where it finds the naive witness
+    rng = random.Random(181)
+    cases = settled = 0
+    while cases < 2000:
+        g, kappa, parts = random_union(rng)
+        assert len(component_masks(g.closed_masks, g.full_mask)) == parts
+        for a in range(1, g.n + 1):
+            whole_walks.clear()
+            res_ok, res_wit = assert_report_matches_naive(g, kappa, a)
+            res_set = None if res_wit is None else VertexSet.from_vertices(res_wit, g.n)
+            assert check_resistant(g, kappa, a) == (res_ok, res_set)
+            assert (g in whole_walks) == (not res_ok)
+            cases += 1
+            settled += res_ok
+    assert 300 < settled < cases - 300
+
+
+@pytest.mark.parametrize("seed", [None, 18])
+@pytest.mark.parametrize("inst", catalog(), ids=lambda inst: inst.name)
+def test_catalog_instances_match_the_naive_reference_canonical_and_relabelled(inst, seed):
+    # every catalog instance up to one past its design size; past
+    # clique-partition:4's largest scan, C(25, 5) attacks (so on
+    # clique-partition:5 at a >= 4), the naive oracle takes seconds, and
+    # the whole-graph walk, which the oracle pins everywhere else, is the
+    # reference
+    g, kappa = (inst.graph, inst.coloring) if seed is None else relabeled(inst, seed)
+    full = (1 << kappa.palette_size) - 1
+    for a in range(1, inst.attackers + 2):
+        if comb(g.n, a) <= comb(25, 5):
+            res_ok, res_wit = assert_report_matches_naive(g, kappa, a)
+            res_set = None if res_wit is None else VertexSet.from_vertices(res_wit, g.n)
+            assert check_resistant(g, kappa, a) == (res_ok, res_set)
+        else:
+            whole = checker._walk(
+                g, a, partial(checker._full_color_part, g.closed_masks, kappa.masks, full)
+            )
+            assert checker._scan(g, kappa, a) == whole
+            assert (whole is None) == (a <= inst.attackers)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [*(clique_partition(a) for a in range(3, 8)), c7_pair(), c8c8p5()],
+    ids=lambda inst: inst.name,
+)
+def test_extremal_unions_pass_at_their_design_size_without_a_whole_graph_walk(
+    inst, whole_walks
+):
+    # clique-partition:a has a+1 full-color components; paper-14's two C7
+    # and paper-21's two C8 are 1-resistant, which with the P5 of paper-21
+    # makes a+1 as well
+    g = inst.graph
+    rep = check_highly(g, inst.coloring, inst.attackers)
+    assert rep.highly_resistant
+    assert rep.attack_sets_examined == comb(g.n, inst.attackers)
+    assert all(h.n < g.n for h in whole_walks)

@@ -172,6 +172,18 @@ class TestCheck:
         assert (rc, out) == (2, "")
         assert err == "error: --instance cannot be combined with --graph or --coloring\n"
 
+    def test_seed_without_sample_is_a_usage_error(self, capsys, k2_instance):
+        # an exhaustive check draws nothing, so a seed would be ignored
+        rc, out, err = run(capsys, "check", "--instance", k2_instance, "--seed", "3")
+        assert (rc, out) == (2, "")
+        assert err == "error: --seed needs --sample\n"
+
+    def test_sample_without_seed_draws_from_seed_zero(self, capsys, k2_instance):
+        argv = ["check", "--instance", k2_instance, "--sample", "10", "--format", "json"]
+        default = run(capsys, *argv)
+        assert default == run(capsys, *argv, "--seed", "0")
+        assert json.loads(default[1])["seed"] == 0
+
 
 class TestSearch:
     def test_triangle_unsat(self, capsys, k3_edges):
@@ -280,6 +292,23 @@ class TestSearch:
                            "--min-colors", "--kmax", "3", "-k", "2")
         assert (rc, out) == (2, "")
         assert err == "error: --min-colors cannot be combined with -k\n"
+
+    @pytest.mark.parametrize(
+        "extra", [["-n", "4"], ["--kmax", "3"], ["-n", "4", "--kmax", "3"]]
+    )
+    def test_palette_to_decide_with_a_sweep_or_scan_bound_is_a_usage_error(
+        self, capsys, two_k2_edges, extra
+    ):
+        rc, out, err = run(capsys, "search", "--graph", two_k2_edges, "-a", "1",
+                           "-k", "2", *extra)
+        assert (rc, out) == (2, "")
+        assert err == "error: -k cannot be combined with -n or --kmax\n"
+
+    def test_min_colors_with_a_vertex_count_is_a_usage_error(self, capsys, two_k2_edges):
+        rc, out, err = run(capsys, "search", "--graph", two_k2_edges, "-a", "1",
+                           "--min-colors", "--kmax", "3", "-n", "4")
+        assert (rc, out) == (2, "")
+        assert err == "error: --min-colors cannot be combined with -n\n"
 
     def test_usage_errors(self, capsys, two_k2_edges):
         rc, _, _ = run(capsys, "search", "--graph", two_k2_edges, "-a", "1")
