@@ -31,9 +31,9 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .checker import _check_attack_size, _first_cover, _scan
+from .checker import _below, _check_attack_size, _first_cover, _scan
 from .coloring import Multicoloring
 from .graph import Graph, component_masks, cycle, from_pair_bits
 
@@ -100,16 +100,6 @@ def _is_cycle(g: Graph) -> bool:
     if any(m.bit_count() != 3 for m in closed):
         return False
     return len(component_masks(closed, g.full_mask)) == 1
-
-
-def _below(getrandbits: Callable[[int], int], span: int) -> int:
-    """`randrange(span)` exactly as CPython draws it: `getrandbits` of
-    span's bit length, drawn again until the value is below span."""
-    width = span.bit_length()
-    r = getrandbits(width)
-    while r >= span:
-        r = getrandbits(width)
-    return r
 
 
 # `random()` builds a double from two outputs x, y as

@@ -34,16 +34,17 @@ admits none. `blocking_attack` returns the first attack that fails the
 test. It is the checker's attack walk with surviving components of more
 than a vertices as its parts: a connected superset of such a component is
 as large, so the walk's skip rules hold for them (see `checker`).
-`decide` answers such graphs unsat with 0 nodes, and it drops components
-of at most a vertices, which can never hold every color, from the
-search's attack lists.
+`decide` asks it first and answers a blocked graph unsat with 0 nodes,
+without listing its attacks; on any other graph it drops components of
+at most a vertices, which can never hold every color, from the search's
+attack lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import constructions
 from .checker import _check_attack_size, _walk, check_highly
@@ -134,21 +135,6 @@ class KEntry:
     note: str = ""
 
 
-def _attack_component_masks(g: Graph, a: int) -> Iterator[list[int]]:
-    """For every attack set in rank order, the masks of the surviving
-    components; resistance requires some component to intersect every class.
-
-    A generator, so that a caller can stop at the first attack it needs.
-    """
-    closed = g.closed_masks
-    all_mask = g.full_mask
-    for attack in combinations(range(g.n), a):
-        rm = 0
-        for u in attack:
-            rm |= closed[u]
-        yield component_masks(closed, all_mask & ~rm)
-
-
 def blocking_attack(g: Graph, a: int) -> tuple[int, ...] | None:
     """The first attack in rank order whose surviving components all have
     at most `a` vertices, or None.
@@ -192,32 +178,41 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     tests is confirmed with check_highly, so a SAT witness always replays
     through the checker.
 
-    The budget counts nodes only. It does not bound the set-up: unless an
-    attack blocks the graph, the attack lists and the a-sets are listed,
-    C(n, a) of each, before the first node, so that clique_partition(5) at
-    a = 5 takes seconds to return UNKNOWN at budget 0.
+    A graph that `blocking_attack` finds blocked admits no palette: it is
+    UNSAT with 0 nodes, and its attacks are never listed. The budget counts
+    nodes only. It does not bound the set-up: on any other graph one pass
+    over the C(n, a) attacks builds the attack lists and the a-sets before
+    the first node, so that clique_partition(5) at a = 5 takes seconds to
+    return UNKNOWN at budget 0.
     """
     _check_attack_size(g.n, a)
     if k < 1:
         raise ValueError("palette size must be at least 1")
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if k <= a:
-        # Resistance forces every color onto some vertex, and then one
-        # vertex per color padded to exactly `a` covers the whole palette.
+    # k <= a: resistance forces every color onto some vertex, and then one
+    # vertex per color padded to exactly `a` covers the whole palette; an
+    # attack that leaves only components of at most `a` vertices blocks
+    # every palette
+    if k <= a or blocking_attack(g, a) is not None:
         return Decision(UNSAT, None, 0, budget)
-    # a component of at most `a` vertices padded to exactly `a` would hold
-    # every color, so it never serves an attack; an attack left with no
-    # larger component blocks every palette. Only distinct lists are kept:
-    # identical lists impose identical constraints
+    # each attack's surviving components of more than `a` vertices, in rank
+    # order, and its a-set: a smaller component padded to exactly `a` would
+    # hold every color, so it never serves an attack. Only distinct lists
+    # are kept: identical lists impose identical constraints
+    closed = g.closed_masks
+    all_mask = g.full_mask
     seen: dict[tuple[int, ...], None] = {}
-    for comps in _attack_component_masks(g, a):
-        large = tuple(c for c in comps if c.bit_count() > a)
-        if not large:
-            return Decision(UNSAT, None, 0, budget)
-        seen.setdefault(large, None)
+    a_sets = []
+    for attack in combinations(range(g.n), a):
+        rm = s = 0
+        for u in attack:
+            rm |= closed[u]
+            s |= 1 << u
+        a_sets.append(s)
+        comps = component_masks(closed, all_mask & ~rm)
+        seen.setdefault(tuple(c for c in comps if c.bit_count() > a), None)
     attacks = list(seen)
-    a_sets = [sum(1 << u for u in s) for s in combinations(range(g.n), a)]
 
     # depth-first over nondecreasing class sequences, with an explicit stack
     # so that the depth, up to k, is not bounded by Python's recursion limit:
@@ -312,6 +307,7 @@ def exhaustive_nonexistence(
     nodes = 0
     unknown_count = 0
     every_palette = True
+    sat = None  # (graphs examined, graph, k, witness) at the first SAT
     for bits in range(total):
         g = from_pair_bits(n, bits)
         if blocking_attack(g, a) is not None:
@@ -321,24 +317,19 @@ def exhaustive_nonexistence(
             d = decide(g, a, k, budget)
             nodes += d.nodes_expanded
             if d.outcome == SAT:
-                return NonexistenceSummary(
-                    outcome="found-sat",
-                    n=n, a=a, k_max=k_max, budget=budget,
-                    graphs_total=total,
-                    graphs_examined=bits + 1,
-                    sat_graph=g, sat_k=k, sat_witness=d.witness,
-                    unknown_count=unknown_count,
-                    nodes_expanded=nodes,
-                    every_palette=False,
-                )
+                sat = bits + 1, g, k, d.witness
+                break
             if d.outcome == UNKNOWN:
                 unknown_count += 1
+        if sat:
+            break
+    examined, sat_graph, sat_k, sat_witness = sat or (total, None, None, None)
     return NonexistenceSummary(
-        outcome="unknown" if unknown_count else "all-unsat",
+        outcome="found-sat" if sat else "unknown" if unknown_count else "all-unsat",
         n=n, a=a, k_max=k_max, budget=budget,
         graphs_total=total,
-        graphs_examined=total,
-        sat_graph=None, sat_k=None, sat_witness=None,
+        graphs_examined=examined,
+        sat_graph=sat_graph, sat_k=sat_k, sat_witness=sat_witness,
         unknown_count=unknown_count,
         nodes_expanded=nodes,
         every_palette=every_palette,
@@ -371,13 +362,13 @@ def k_table(max_a: int = 4) -> list[KEntry]:
     return [row for row in rows if row.attackers <= max_a]
 
 
-def certify_table_row(row: KEntry, *, k_max: int = 4, budget: int = 10**6) -> bool:
+def certify_table_row(row: KEntry) -> bool:
     """Re-run the artifact-backed evidence for a table row.
 
     Construction rows re-check their instance exhaustively; the a=1
-    infinite row re-runs the labeled sweeps for n = 1..3, each of which
-    must end all-unsat for every palette (`every_palette`), not only for
-    palettes up to `k_max`. Citation-only rows pass vacuously.
+    infinite row re-runs the labeled sweeps for n = 1..3 at k_max 4, each
+    of which must end all-unsat for every palette (`every_palette`), not
+    only for palettes up to 4. Citation-only rows pass vacuously.
     """
     if row.instance_name is not None:
         inst = constructions.instance(row.instance_name)
@@ -389,7 +380,7 @@ def certify_table_row(row: KEntry, *, k_max: int = 4, budget: int = 10**6) -> bo
     if "exhaustive-search" in row.proven_by:
         hi = row.n_hi if row.n_hi is not None else MAX_NONEXISTENCE_N
         for n in range(max(row.attackers, row.n_lo), hi + 1):
-            summary = exhaustive_nonexistence(n, row.attackers, k_max, budget)
+            summary = exhaustive_nonexistence(n, row.attackers, 4)
             if summary.outcome != "all-unsat" or not summary.every_palette:
                 return False
     return True

@@ -452,6 +452,37 @@ class TestExistenceCriterion:
             checked += 1
         assert checked == 6
 
+    @pytest.mark.parametrize("g, a", [
+        (cycle(7), 3),
+        (Graph(64), 7),
+        (clique_partition(5).graph, 6),
+    ], ids=["C7@3", "isolated-64@7", "clique-partition:5@6"])
+    def test_decide_settles_a_blocked_graph_without_listing_attacks(
+        self, monkeypatch, g, a
+    ):
+        def refuse(*args):
+            raise AssertionError("decide listed the attacks of a blocked graph")
+
+        monkeypatch.setattr(search, "combinations", refuse)
+        assert blocking_attack(g, a) is not None
+        for budget in (0, 10**6):
+            d = decide(g, a, a + 1, budget)
+            assert d.outcome == UNSAT and d.nodes_expanded == 0, budget
+
+    def test_decide_at_budget_zero_is_the_naive_blocking_scan_on_five_vertices(self):
+        # blocked graphs end unsat and the rest unknown, both with 0 nodes
+        cases = 0
+        for bits in range(1 << 10):
+            g = from_pair_bits(5, bits)
+            edges = list(g.edges())
+            for a in range(1, 6):
+                d = decide(g, a, a + 1, 0)
+                blocked = naive_blocking_attack(5, edges, a) is not None
+                assert d.outcome == (UNSAT if blocked else UNKNOWN), (edges, a)
+                assert d.nodes_expanded == 0
+                cases += 1
+        assert cases == 5120
+
 
 def table_row(a, n):
     """The table row whose attack size is a and whose n range holds n."""
