@@ -34,10 +34,12 @@ admits none. `blocking_attack` returns the first attack that fails the
 test. It is the checker's attack walk with surviving components of more
 than a vertices as its parts: a connected superset of such a component is
 as large, so the walk's skip rules hold for them (see `checker`).
-`decide` asks it first and answers a blocked graph unsat with 0 nodes,
-without listing its attacks; on any other graph it drops components of
-at most a vertices, which can never hold every color, from the search's
-attack lists.
+`_attack_lists` is the search's one blocked test. It asks `blocking_attack`
+first, and a blocked graph is unsat with 0 nodes at every palette size,
+its attacks never listed. On any other graph it lists the attacks once,
+dropping components of at most a vertices, which can never hold every
+color. `decide` builds this set-up per call; `min_colors` and sweeps
+build it once per graph and search every palette size on it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Sequence
 
 from . import constructions
 from .checker import _check_attack_size, _walk, check_highly
+from .codec import MAX_COLORS
 from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks, from_pair_bits
 
@@ -165,41 +168,24 @@ def _ors(lists: list[Sequence[int]]) -> list[int]:
     return sorted(out, key=int.bit_count)
 
 
-def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
-    """Decide whether g admits a highly a-resistant k-multicoloring.
+#: A search's palette-independent set-up, built by `_attack_lists`.
+_Setup = tuple[list[tuple[int, ...]], list[int]] | None
 
-    Classes are chosen in nondecreasing mask order and must be nonempty
-    (an unused color can never appear in a surviving component). A branch
-    is cut as soon as some attack has no surviving component of more than
-    `a` vertices intersecting all decided classes. Each candidate class is
-    tested against the unions of the attack lists and, for the last class,
-    against `cover`, as the module docstring proves; the filtered lists
-    are built only when the search descends. The one leaf that passes both
-    tests is confirmed with check_highly, so a SAT witness always replays
-    through the checker.
 
-    A graph that `blocking_attack` finds blocked admits no palette: it is
-    UNSAT with 0 nodes, and its attacks are never listed. The budget counts
-    nodes only. It does not bound the set-up: on any other graph one pass
-    over the C(n, a) attacks builds the attack lists and the a-sets before
-    the first node, so that clique_partition(5) at a = 5 takes seconds to
-    return UNKNOWN at budget 0.
+def _attack_lists(g: Graph, a: int) -> _Setup:
+    """The set-up of a search on g at attack size a, which no palette size
+    changes: None when `blocking_attack` finds an attack, and otherwise the
+    distinct lists of each attack's surviving components of more than `a`
+    vertices and every a-set as a vertex mask, both in rank order.
+
+    This is the search's one blocked test: a blocked graph admits no
+    palette, and its attacks are never listed.
     """
-    _check_attack_size(g.n, a)
-    if k < 1:
-        raise ValueError("palette size must be at least 1")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    # k <= a: resistance forces every color onto some vertex, and then one
-    # vertex per color padded to exactly `a` covers the whole palette; an
-    # attack that leaves only components of at most `a` vertices blocks
-    # every palette
-    if k <= a or blocking_attack(g, a) is not None:
-        return Decision(UNSAT, None, 0, budget)
-    # each attack's surviving components of more than `a` vertices, in rank
-    # order, and its a-set: a smaller component padded to exactly `a` would
-    # hold every color, so it never serves an attack. Only distinct lists
-    # are kept: identical lists impose identical constraints
+    if blocking_attack(g, a) is not None:
+        return None
+    # a component of at most `a` vertices padded to exactly `a` would hold
+    # every color, so it never serves an attack. Only distinct lists are
+    # kept: identical lists impose identical constraints
     closed = g.closed_masks
     all_mask = g.full_mask
     seen: dict[tuple[int, ...], None] = {}
@@ -212,8 +198,15 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
         a_sets.append(s)
         comps = component_masks(closed, all_mask & ~rm)
         seen.setdefault(tuple(c for c in comps if c.bit_count() > a), None)
-    attacks = list(seen)
+    return list(seen), a_sets
 
+
+def _search(g: Graph, a: int, k: int, budget: int, setup: _Setup) -> Decision:
+    """`decide` on the set-up `_attack_lists(g, a)`, for a k > a; a blocked
+    graph (None) is UNSAT with 0 nodes."""
+    if setup is None:
+        return Decision(UNSAT, None, 0, budget)
+    attacks, a_sets = setup
     # depth-first over nondecreasing class sequences, with an explicit stack
     # so that the depth, up to k, is not bounded by Python's recursion limit:
     # `chosen` holds the classes decided so far, and `levels[d]` the attack
@@ -249,25 +242,70 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
             levels.pop()
             lo = chosen.pop() + 1
             continue
+        if chosen and m == chosen[-1]:
+            # every kept component and a-set already meets m, so the level
+            # is the same; sharing it keeps a deep palette's memory flat
+            levels.append(levels[-1])
+        else:
+            lists = [[c for c in comps if c & m] for comps in lists]
+            levels.append((lists, _ors(lists), [s for s in holding if s & m]))
         chosen.append(m)
-        lists = [[c for c in comps if c & m] for comps in lists]
-        levels.append((lists, _ors(lists), [s for s in holding if s & m]))
         lo = m
 
 
-def min_colors(g: Graph, a: int, k_max: int, budget: int = 10**6) -> MinColorsResult:
-    """Scan k = a+1 .. k_max for the smallest SAT palette.
+def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
+    """Decide whether g admits a highly a-resistant k-multicoloring.
 
-    Reports "none" when every k is UNSAT and "unknown" when some UNKNOWN
-    precedes the first SAT, since minimality is then unsettled.
+    Classes are chosen in nondecreasing mask order and must be nonempty
+    (an unused color can never appear in a surviving component). A branch
+    is cut as soon as some attack has no surviving component of more than
+    `a` vertices intersecting all decided classes. Each candidate class is
+    tested against the unions of the attack lists and, for the last class,
+    against `cover`, as the module docstring proves; the filtered lists
+    are built only when the search descends. The one leaf that passes both
+    tests is confirmed with check_highly, so a SAT witness always replays
+    through the checker. The palette size k is at most `MAX_COLORS`, the
+    codec's limit, so that a SAT witness is a document it accepts.
+
+    For k > a the search runs on `_attack_lists(g, a)`, the one blocked
+    test: a graph that `blocking_attack` finds blocked admits no palette,
+    so it is UNSAT with 0 nodes and its attacks are never listed. The
+    budget counts nodes only. It does not bound the set-up: on any other
+    graph one pass over the C(n, a) attacks builds the attack lists and
+    the a-sets before the first node, so that clique_partition(5) at a = 5
+    takes seconds to return UNKNOWN at budget 0. `min_colors` and sweeps
+    build the set-up once per graph and share it across palette sizes.
     """
     _check_attack_size(g.n, a)
+    if k < 1:
+        raise ValueError("palette size must be at least 1")
+    if k > MAX_COLORS:
+        raise ValueError(f"palette size must be at most {MAX_COLORS}, got {k}")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    # k <= a: resistance forces every color onto some vertex, and then one
+    # vertex per color padded to exactly `a` covers the whole palette
+    if k <= a:
+        return Decision(UNSAT, None, 0, budget)
+    return _search(g, a, k, budget, _attack_lists(g, a))
+
+
+def _check_scan(a: int, k_max: int, budget: int) -> None:
+    """The palette range and budget checks of `min_colors` and sweeps."""
     if k_max < a + 1:
         raise ValueError("k_max must be at least a + 1")
+    if k_max > MAX_COLORS:
+        raise ValueError(f"k_max must be at most {MAX_COLORS}, got {k_max}")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+
+
+def _scan_palettes(g: Graph, a: int, k_max: int, budget: int, setup: _Setup) -> MinColorsResult:
+    """`min_colors` on the set-up `_attack_lists(g, a)`."""
     trail: list[tuple[int, Decision]] = []
     unknown_seen = False
     for k in range(a + 1, k_max + 1):
-        d = decide(g, a, k, budget)
+        d = _search(g, a, k, budget, setup)
         trail.append((k, d))
         if d.outcome == SAT:
             if unknown_seen:
@@ -279,6 +317,19 @@ def min_colors(g: Graph, a: int, k_max: int, budget: int = 10**6) -> MinColorsRe
     return MinColorsResult(status, None, tuple(trail))
 
 
+def min_colors(g: Graph, a: int, k_max: int, budget: int = 10**6) -> MinColorsResult:
+    """Scan k = a+1 .. k_max for the smallest SAT palette.
+
+    Reports "none" when every k is UNSAT and "unknown" when some UNKNOWN
+    precedes the first SAT, since minimality is then unsettled. The
+    attack lists are built once and searched for every k; k_max is at
+    most `MAX_COLORS`, as `decide`'s k is.
+    """
+    _check_attack_size(g.n, a)
+    _check_scan(a, k_max, budget)
+    return _scan_palettes(g, a, k_max, budget, _attack_lists(g, a))
+
+
 def exhaustive_nonexistence(
     n: int, a: int, k_max: int, budget: int = 10**6
 ) -> NonexistenceSummary:
@@ -286,9 +337,10 @@ def exhaustive_nonexistence(
     coloring with k in [a+1, k_max] colors.
 
     A graph with a blocking attack admits no palette at all and is skipped;
-    decide runs on the others and the sweep stops at the first SAT
-    instance. The all-unsat verdict certifies every palette when every
-    graph was blocked (`every_palette`), and palettes up to k_max otherwise
+    on the others the attack lists are built once and searched for each k
+    as `min_colors` does, and the sweep stops at the first SAT instance.
+    The all-unsat verdict certifies every palette when every graph was
+    blocked (`every_palette`), and palettes up to k_max otherwise
     (palettes below a+1 are impossible outright).
     """
     if n < 1:
@@ -298,11 +350,7 @@ def exhaustive_nonexistence(
             f"labeled-graph sweeps are limited to n <= {MAX_NONEXISTENCE_N}, got {n}"
         )
     _check_attack_size(n, a)
-    if k_max < a + 1:
-        raise ValueError("k_max must be at least a + 1")
-    # checked here too: a sweep whose graphs are all blocked never calls decide
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _check_scan(a, k_max, budget)
     total = 1 << n * (n - 1) // 2
     nodes = 0
     unknown_count = 0
@@ -310,18 +358,16 @@ def exhaustive_nonexistence(
     sat = None  # (graphs examined, graph, k, witness) at the first SAT
     for bits in range(total):
         g = from_pair_bits(n, bits)
-        if blocking_attack(g, a) is not None:
+        setup = _attack_lists(g, a)
+        if setup is None:
             continue
         every_palette = False
-        for k in range(a + 1, k_max + 1):
-            d = decide(g, a, k, budget)
-            nodes += d.nodes_expanded
-            if d.outcome == SAT:
-                sat = bits + 1, g, k, d.witness
-                break
-            if d.outcome == UNKNOWN:
-                unknown_count += 1
-        if sat:
+        trail = _scan_palettes(g, a, k_max, budget, setup).trail
+        nodes += sum(d.nodes_expanded for _, d in trail)
+        unknown_count += sum(d.outcome == UNKNOWN for _, d in trail)
+        k, d = trail[-1]
+        if d.outcome == SAT:
+            sat = bits + 1, g, k, d.witness
             break
     examined, sat_graph, sat_k, sat_witness = sat or (total, None, None, None)
     return NonexistenceSummary(

@@ -261,6 +261,22 @@ class TestSearch:
         assert rc == 2
         assert out == "" and err == "error: k_max must be at least a + 1\n"
 
+    def test_palette_over_the_codec_limit_is_a_usage_error(self, capsys, two_k2_edges):
+        cases = [
+            (["--graph", two_k2_edges, "-k", "4097"],
+             "palette size must be at most 4096, got 4097"),
+            (["--graph", two_k2_edges, "--min-colors", "--kmax", "4097"],
+             "k_max must be at most 4096, got 4097"),
+            (["--nonexistence", "-n", "3", "--kmax", "4097"],
+             "k_max must be at most 4096, got 4097"),
+        ]
+        for argv, message in cases:
+            rc, out, err = run(capsys, "search", "-a", "1", *argv)
+            assert (rc, out, err) == (2, "", f"error: {message}\n"), argv
+        rc, _, _ = run(capsys, "search", "--graph", two_k2_edges, "-a", "1",
+                       "-k", "4096", "--budget", "10")
+        assert rc == 3
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_nonexistence_bad_vertex_count_names_n(self, capsys, n):
         rc, out, err = run(capsys, "search", "--nonexistence", "-n", n, "-a", "1", "--kmax", "2")

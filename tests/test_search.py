@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
@@ -22,6 +23,8 @@ from hrcolor.search import (
     SAT,
     UNKNOWN,
     UNSAT,
+    MinColorsResult,
+    NonexistenceSummary,
     blocking_attack,
     certify_table_row,
     decide,
@@ -92,6 +95,19 @@ class TestDecide:
         d = decide(two_k2(), 1, 3000, 10**6)
         assert d.outcome == SAT and d.nodes_expanded == 3009
         assert check_highly(two_k2(), d.witness, 1).highly_resistant
+
+    def test_repeated_class_shares_its_level(self):
+        # a repeated class filters nothing, so a deep palette must not keep
+        # one copy of the attack lists and a-sets per level
+        g = clique_partition(2).graph
+        tracemalloc.start()
+        try:
+            d = decide(g, 2, 4096, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.outcome == UNKNOWN and d.nodes_expanded == 5000
+        assert peak < 1_000_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -491,6 +507,113 @@ def table_row(a, n):
         if r.attackers == a and r.n_lo <= n and (r.n_hi is None or n <= r.n_hi)
     ]
     return row
+
+
+def min_colors_by_decide(g, a, k_max, budget):
+    """`min_colors` composed from one public `decide` per palette size."""
+    trail = []
+    for k in range(a + 1, k_max + 1):
+        trail.append((k, decide(g, a, k, budget)))
+        if trail[-1][1].outcome == SAT:
+            break
+    unknown = any(d.outcome == UNKNOWN for _, d in trail)
+    k, d = trail[-1]
+    if d.outcome == SAT and not unknown:
+        return MinColorsResult("found", k, tuple(trail))
+    return MinColorsResult("unknown" if unknown else "none", None, tuple(trail))
+
+
+def sweep_by_decide(n, a, k_max, budget):
+    """`exhaustive_nonexistence` composed from `min_colors_by_decide`."""
+    total = 1 << comb(n, 2)
+    nodes = unknown = 0
+    every_palette = True
+    sat = None
+    for bits in range(total):
+        g = from_pair_bits(n, bits)
+        every_palette &= blocking_attack(g, a) is not None
+        trail = min_colors_by_decide(g, a, k_max, budget).trail
+        nodes += sum(d.nodes_expanded for _, d in trail)
+        unknown += sum(d.outcome == UNKNOWN for _, d in trail)
+        k, d = trail[-1]
+        if d.outcome == SAT:
+            sat = (bits + 1, g, k, d.witness)
+            break
+    examined, sat_graph, sat_k, witness = sat or (total, None, None, None)
+    outcome = "found-sat" if sat else "unknown" if unknown else "all-unsat"
+    return NonexistenceSummary(
+        outcome, n, a, k_max, budget, total, examined, sat_graph, sat_k, witness,
+        unknown, nodes, every_palette,
+    )
+
+
+class TestSharedSetUp:
+    """`min_colors` and sweeps build a graph's attack lists once and must
+    answer as one `decide` per palette size does."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(search, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, name, counted)
+        return calls
+
+    def test_set_up_is_built_once_per_graph(self, monkeypatch):
+        walks = self.count_calls(monkeypatch, "blocking_attack")
+        listings = self.count_calls(monkeypatch, "combinations")
+        r = min_colors(clique_partition(2).graph, 2, 5, 0)
+        assert [k for k, _ in r.trail] == [3, 4, 5]
+        assert len(walks) == 1 and len(listings) == 1
+        walks.clear()
+        s = exhaustive_nonexistence(4, 1, 3)
+        assert s.outcome == "found-sat"
+        assert len(walks) == s.graphs_examined
+
+    def test_min_colors_is_decide_per_palette(self):
+        for n in range(1, 5):
+            for bits in range(1 << comb(n, 2)):
+                g = from_pair_bits(n, bits)
+                for a in range(1, n + 1):
+                    for k_max in range(a + 1, a + 4):
+                        for budget in (0, 3, 50, 10**6):
+                            assert min_colors(g, a, k_max, budget) == min_colors_by_decide(
+                                g, a, k_max, budget
+                            ), (n, bits, a, k_max, budget)
+
+    def test_sweep_is_decide_per_palette(self):
+        for n in range(1, 5):
+            for a in range(1, n + 1):
+                for k_max in range(a + 1, a + 4):
+                    for budget in (0, 3, 50, 10**6):
+                        assert exhaustive_nonexistence(n, a, k_max, budget) == sweep_by_decide(
+                            n, a, k_max, budget
+                        ), (n, a, k_max, budget)
+
+
+class TestPaletteBound:
+    """Palettes stop at the codec's `MAX_COLORS`, so that a sat witness is
+    a document it accepts and `--kmax` cannot run without end."""
+
+    def test_over_the_bound_is_refused(self):
+        with pytest.raises(ValueError, match="palette size must be at most 4096, got 4097"):
+            decide(two_k2(), 1, 4097, 10)
+        with pytest.raises(ValueError, match="k_max must be at most 4096, got 4097"):
+            min_colors(cycle(7), 3, 4097)
+        with pytest.raises(ValueError, match="k_max must be at most 4096, got 4097"):
+            exhaustive_nonexistence(3, 1, 4097)
+
+    def test_the_bound_itself_is_accepted(self):
+        d = decide(two_k2(), 1, 4096, 10)
+        assert d.outcome == UNKNOWN and d.nodes_expanded == 10
+        r = min_colors(cycle(7), 3, 4096)
+        assert r.status == "none" and len(r.trail) == 4093
+        s = exhaustive_nonexistence(3, 1, 4096)
+        assert s.outcome == "all-unsat" and s.every_palette
 
 
 class TestKTable:
