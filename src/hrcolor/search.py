@@ -10,10 +10,15 @@ against per-depth masks, not by building a coloring:
 
 - Resistance: a class m meets some component of an attack's list iff it
   meets the union of that list, so m is viable iff it meets every union.
-- Hold: with k-1 classes decided, let `cover` be the union of the a-sets
-  that meet all of them. Some a-set holds all k colors iff it meets all k
-  classes, that is iff the last class m meets such an a-set, that is iff
-  m & cover != 0.
+- Hold: with k-1 classes decided, let `cover` hold the vertices v that
+  lie in some a-set meeting all of them. Some a-set holds all k colors iff
+  it meets all k classes, that is iff the last class m meets such an
+  a-set, that is iff m & cover != 0. An a-set S that holds v meets every
+  decided class iff S - {v} meets the classes that miss v, so v is in
+  `cover` iff no class misses v or some a-1 vertices meet all that do:
+  the checker's hold test `_first_cover`, run on the color masks of those
+  classes. `_hold_cover` builds `cover` once each time the search reaches
+  the last class.
 
 The one leaf that passes both tests is confirmed by the exhaustive checker,
 so a SAT witness always replays through it.
@@ -49,7 +54,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import constructions
-from .checker import _check_attack_size, _walk, check_highly
+from .checker import _check_attack_size, _first_cover, _walk, check_highly
 from .codec import MAX_COLORS
 from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks, from_pair_bits
@@ -169,14 +174,15 @@ def _ors(lists: list[Sequence[int]]) -> list[int]:
 
 
 #: A search's palette-independent set-up, built by `_attack_lists`.
-_Setup = tuple[list[tuple[int, ...]], list[int]] | None
+_Setup = list[tuple[int, ...]] | None
 
 
 def _attack_lists(g: Graph, a: int) -> _Setup:
     """The set-up of a search on g at attack size a, which no palette size
     changes: None when `blocking_attack` finds an attack, and otherwise the
     distinct lists of each attack's surviving components of more than `a`
-    vertices and every a-set as a vertex mask, both in rank order.
+    vertices, in rank order. The hold test needs no a-sets: `_hold_cover`
+    reads only the decided classes.
 
     This is the search's one blocked test: a blocked graph admits no
     palette, and its attacks are never listed.
@@ -189,41 +195,55 @@ def _attack_lists(g: Graph, a: int) -> _Setup:
     closed = g.closed_masks
     all_mask = g.full_mask
     seen: dict[tuple[int, ...], None] = {}
-    a_sets = []
     for attack in combinations(range(g.n), a):
-        rm = s = 0
+        rm = 0
         for u in attack:
             rm |= closed[u]
-            s |= 1 << u
-        a_sets.append(s)
         comps = component_masks(closed, all_mask & ~rm)
         seen.setdefault(tuple(c for c in comps if c.bit_count() > a), None)
-    return list(seen), a_sets
+    return list(seen)
 
 
-def _search(g: Graph, a: int, k: int, budget: int, setup: _Setup) -> Decision:
+def _hold_cover(n: int, classes: list[int], a: int) -> int:
+    """The mask of the vertices that lie in some a-set meeting every class
+    of the nonempty list `classes`; n >= a.
+
+    An a-set S that holds v meets every class iff S - {v} meets the classes
+    that miss v. So v is in the mask iff no class misses v, or
+    `checker._first_cover` finds a - 1 vertices whose color masks, cut to
+    those classes, hold them all. v's own cut mask is 0, so v never counts
+    among the a - 1, and n >= a leaves enough other vertices for S. The
+    answer depends on v's color mask alone, so each distinct mask is tested
+    once.
+    """
+    held = from_class_masks(n, len(classes), classes).masks
+    full = (1 << len(classes)) - 1
+    cover = 0
+    for h in set(held):
+        miss = full & ~h
+        if not miss or a > 1 and _first_cover([c & miss for c in held], miss, a - 1):
+            cover |= sum(1 << v for v, x in enumerate(held) if x == h)
+    return cover
+
+
+def _search(g: Graph, a: int, k: int, budget: int, attacks: _Setup) -> Decision:
     """`decide` on the set-up `_attack_lists(g, a)`, for a k > a; a blocked
     graph (None) is UNSAT with 0 nodes."""
-    if setup is None:
+    if attacks is None:
         return Decision(UNSAT, None, 0, budget)
-    attacks, a_sets = setup
     # depth-first over nondecreasing class sequences, with an explicit stack
     # so that the depth, up to k, is not bounded by Python's recursion limit:
     # `chosen` holds the classes decided so far, and `levels[d]` the attack
-    # lists that survive the first d of them, their unions, and the a-sets
-    # that meet all d
+    # lists that survive the first d of them and their unions
     limit = 1 << g.n
     nodes = 0
     chosen: list[int] = []
-    levels = [(attacks, _ors(attacks), a_sets)]
+    levels = [(attacks, _ors(attacks))]
     lo = 1
     while True:
-        lists, ors, holding = levels[-1]
+        lists, ors = levels[-1]
         leaf = len(chosen) == k - 1
-        cover = 0
-        if leaf:
-            for s in holding:
-                cover |= s
+        cover = _hold_cover(g.n, chosen, a) if leaf else 0
         for m in range(lo, limit):
             if nodes >= budget:
                 return Decision(UNKNOWN, None, nodes, budget)
@@ -243,12 +263,12 @@ def _search(g: Graph, a: int, k: int, budget: int, setup: _Setup) -> Decision:
             lo = chosen.pop() + 1
             continue
         if chosen and m == chosen[-1]:
-            # every kept component and a-set already meets m, so the level
-            # is the same; sharing it keeps a deep palette's memory flat
+            # every kept component already meets m, so the level is the
+            # same; sharing it keeps a deep palette's memory flat
             levels.append(levels[-1])
         else:
             lists = [[c for c in comps if c & m] for comps in lists]
-            levels.append((lists, _ors(lists), [s for s in holding if s & m]))
+            levels.append((lists, _ors(lists)))
         chosen.append(m)
         lo = m
 
@@ -261,19 +281,21 @@ def decide(g: Graph, a: int, k: int, budget: int) -> Decision:
     is cut as soon as some attack has no surviving component of more than
     `a` vertices intersecting all decided classes. Each candidate class is
     tested against the unions of the attack lists and, for the last class,
-    against `cover`, as the module docstring proves; the filtered lists
-    are built only when the search descends. The one leaf that passes both
-    tests is confirmed with check_highly, so a SAT witness always replays
-    through the checker. The palette size k is at most `MAX_COLORS`, the
-    codec's limit, so that a SAT witness is a document it accepts.
+    against `cover`, as the module docstring proves. The filtered lists are
+    built only when the search descends, and `cover` once each time it
+    reaches the last class, by `_hold_cover` from the decided classes
+    alone. The one leaf that passes both tests is confirmed with
+    check_highly, so a SAT witness always replays through the checker.
+    The palette size k is at most `MAX_COLORS`, the codec's limit, so that
+    a SAT witness is a document it accepts.
 
     For k > a the search runs on `_attack_lists(g, a)`, the one blocked
     test: a graph that `blocking_attack` finds blocked admits no palette,
     so it is UNSAT with 0 nodes and its attacks are never listed. The
     budget counts nodes only. It does not bound the set-up: on any other
-    graph one pass over the C(n, a) attacks builds the attack lists and
-    the a-sets before the first node, so that clique_partition(5) at a = 5
-    takes seconds to return UNKNOWN at budget 0. `min_colors` and sweeps
+    graph one pass over the C(n, a) attacks builds the attack lists before
+    the first node, so that clique_partition(5) at a = 5 takes over a
+    second to return UNKNOWN at budget 0. `min_colors` and sweeps
     build the set-up once per graph and share it across palette sizes.
     """
     _check_attack_size(g.n, a)
@@ -402,8 +424,9 @@ def k_table(max_a: int = 4) -> list[KEntry]:
         KEntry(3, 16, None, 4, False, ("construction",), "clique-partition:3"),
         KEntry(4, 1, 20, None, True, ("paper-citation",)),
         KEntry(4, 21, 21, 10, False, ("construction",), "paper-21"),
-        KEntry(4, 22, None, None, False, (),
-               note="at most 10 by adding isolated vertices to the 21-vertex instance"),
+        KEntry(4, 22, 24, None, False, (),
+               note="between 5 and 10: k >= a+1, and paper-21 plus isolated vertices gives 10"),
+        KEntry(4, 25, None, 5, False, ("construction",), "clique-partition:4"),
     ]
     return [row for row in rows if row.attackers <= max_a]
 

@@ -18,7 +18,7 @@ from hrcolor import search
 from hrcolor.checker import check_highly, check_hr
 from hrcolor.coloring import Multicoloring, from_class_masks
 from hrcolor.constructions import catalog, clique_partition
-from hrcolor.graph import Graph, complete, cycle, from_pair_bits
+from hrcolor.graph import Graph, complete, cycle, disjoint_union, from_pair_bits, path
 from hrcolor.search import (
     SAT,
     UNKNOWN,
@@ -46,6 +46,20 @@ from oracles import (
 
 def two_k2():
     return Graph(4, [(0, 1), (2, 3)])
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call to `search.<name>`, recorded as
+    the calls happen."""
+    calls = []
+    real = getattr(search, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
 
 
 class TestDecide:
@@ -98,7 +112,7 @@ class TestDecide:
 
     def test_repeated_class_shares_its_level(self):
         # a repeated class filters nothing, so a deep palette must not keep
-        # one copy of the attack lists and a-sets per level
+        # one copy of the attack lists per level
         g = clique_partition(2).graph
         tracemalloc.start()
         try:
@@ -108,6 +122,20 @@ class TestDecide:
             tracemalloc.stop()
         assert d.outcome == UNKNOWN and d.nodes_expanded == 5000
         assert peak < 1_000_000
+
+    def test_set_up_keeps_no_a_sets(self):
+        # the hold test reads the decided classes alone, so the set-up of
+        # clique_partition(4) keeps its 30 distinct lists and none of
+        # its C(25, 4) = 12,650 a-sets
+        g = clique_partition(4).graph
+        tracemalloc.start()
+        try:
+            d = decide(g, 4, 5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.outcome == UNKNOWN and d.nodes_expanded == 0
+        assert peak < 500_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,10 +186,13 @@ class TestDecidePinned:
             "310eba25c83e2f4e3f35c4c8b71ac09d7c0674a9d84f2798d449b011139f82be"
         )
 
-    def test_clique_partition_two(self):
+    def test_clique_partition_two(self, monkeypatch):
+        checks = count_calls(monkeypatch, "check_highly")
         d = decide(clique_partition(2).graph, 2, 3, 10**6)
         assert d.outcome == SAT and d.nodes_expanded == 23_453
         assert d.witness.masks == (1, 2, 4, 1, 2, 4, 1, 2, 4)
+        # `cover` rejects every hold failure, so only the witness is checked
+        assert len(checks) == 1
 
     def test_cover_identity_matches_the_hold_checker(self):
         # a last class m lets some a-set hold every color iff m meets the
@@ -181,6 +212,86 @@ class TestDecidePinned:
                     cover |= mask
             kappa = from_class_masks(n, k, class_masks)
             assert (m & cover == 0) == check_hr(g, kappa, a)[0]
+            assert search._hold_cover(n, earlier, a) == cover, (n, a, class_masks)
+
+    def test_unblocked_unions_and_cycles(self):
+        # at budget 20,000; each witness lists its masks up to the last
+        # nonzero one, and every (graph, a) left out is blocked
+        for name, g in UNIONS_AND_CYCLES.items():
+            for a in (1, 2, 3):
+                records = PINNED_DECISIONS.get((name, a))
+                assert (records is None) == (blocking_attack(g, a) is not None), (name, a)
+                for k, record in zip(range(a + 1, a + 4), records or ()):
+                    d = decide(g, a, k, 20_000)
+                    w = d.witness and d.witness.masks
+                    assert (d.outcome, d.nodes_expanded, w) == padded(record, g.n), (name, a, k)
+
+    def test_two_attackers_past_the_first_leaves(self):
+        # at a = 2 the records above stop at the budget; these run on until
+        # the witness, through leaves where `cover` picks what the checker
+        # sees (recorded from the same search as the records)
+        for name, k, nodes, masks in [
+            ("3K3", 4, 23_454, (3, 4, 8, 3, 4, 8, 3, 4, 8)),
+            ("K4+C7", 3, 139_741, (1, 2, 4, 0, 1, 2, 4, 1, 2, 4, 0)),
+            ("K4+C7", 5, 139_743, (7, 8, 16, 0, 7, 8, 16, 7, 8, 16, 0)),
+        ]:
+            d = decide(UNIONS_AND_CYCLES[name], 2, k, 10**6)
+            assert (d.outcome, d.nodes_expanded, d.witness.masks) == (SAT, nodes, masks)
+
+
+def union(*graphs):
+    g, *rest = graphs
+    for h in rest:
+        g = disjoint_union(g, h)
+    return g
+
+
+UNIONS_AND_CYCLES = {
+    "3K3": union(*[complete(3)] * 3),
+    "3K4": union(*[complete(4)] * 3),
+    "4K4": union(*[complete(4)] * 4),
+    "2C7": union(cycle(7), cycle(7)),
+    "K4+C7": union(complete(4), cycle(7)),
+    "2C5": union(cycle(5), cycle(5)),
+    "P9": path(9),
+    **{f"C{n}": cycle(n) for n in range(5, 13)},
+}
+
+#: (outcome, nodes, witness masks up to the last nonzero one) of `decide` at
+#: k = a+1..a+3 and budget 20,000, recorded from the search that kept every
+#: a-set and filtered it on each descent
+_ALL_UNKNOWN = [(UNKNOWN, 20_000, None)] * 3
+_SAT_FROM_19 = [(SAT, 19, (1, 2, 0, 1, 2)), (SAT, 20, (3, 4, 0, 3, 4)), (SAT, 21, (7, 8, 0, 7, 8))]
+_SAT_FROM_35 = [
+    (SAT, 35, (1, 2, 0, 0, 1, 2)), (SAT, 36, (3, 4, 0, 0, 3, 4)), (SAT, 37, (7, 8, 0, 0, 7, 8)),
+]
+PINNED_DECISIONS = {
+    ("3K3", 1): _SAT_FROM_19,
+    ("3K3", 2): _ALL_UNKNOWN,
+    ("3K4", 1): _SAT_FROM_35,
+    ("3K4", 2): _ALL_UNKNOWN,
+    ("4K4", 1): _SAT_FROM_35,
+    ("4K4", 2): _ALL_UNKNOWN,
+    ("4K4", 3): _ALL_UNKNOWN,
+    ("2C7", 1): _SAT_FROM_19,
+    ("2C7", 2): _ALL_UNKNOWN,
+    ("2C7", 3): _ALL_UNKNOWN,
+    ("K4+C7", 1): _SAT_FROM_35,
+    ("K4+C7", 2): _ALL_UNKNOWN,
+    ("2C5", 1): [(SAT, 11_083, (1, 2, 0, 0, 0, 1, 2)), (SAT, 1_037, (3, 5, 6, 3, 4)),
+                 (SAT, 1_038, (7, 11, 12, 7, 8))],
+    ("P9", 1): _SAT_FROM_35,
+    ("C5", 1): [(UNSAT, 135, None), (SAT, 45, (3, 5, 6, 3, 4)), (SAT, 46, (7, 11, 12, 7, 8))],
+    **{(f"C{n}", 1): _SAT_FROM_19 for n in range(6, 13)},
+    ("C11", 2): _ALL_UNKNOWN,
+    ("C12", 2): _ALL_UNKNOWN,
+}
+
+
+def padded(record, n):
+    """A pinned record with its witness masks padded with 0s to n vertices."""
+    outcome, nodes, masks = record
+    return outcome, nodes, masks and (*masks, *[0] * (n - len(masks)))
 
 
 class TestWideGraphs:
@@ -551,21 +662,9 @@ class TestSharedSetUp:
     """`min_colors` and sweeps build a graph's attack lists once and must
     answer as one `decide` per palette size does."""
 
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
-        real = getattr(search, name)
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(search, name, counted)
-        return calls
-
     def test_set_up_is_built_once_per_graph(self, monkeypatch):
-        walks = self.count_calls(monkeypatch, "blocking_attack")
-        listings = self.count_calls(monkeypatch, "combinations")
+        walks = count_calls(monkeypatch, "blocking_attack")
+        listings = count_calls(monkeypatch, "combinations")
         r = min_colors(clique_partition(2).graph, 2, 5, 0)
         assert [k for k, _ in r.trail] == [3, 4, 5]
         assert len(walks) == 1 and len(listings) == 1
@@ -629,8 +728,13 @@ class TestKTable:
         row = table_row(1, 3)
         assert row.infinite
         assert set(row.proven_by) == {"exhaustive-search", "paper-citation"}
-        row = table_row(4, 22)
-        assert row.value is None and not row.infinite
+        for n in (22, 24):
+            row = table_row(4, n)
+            assert (row.n_lo, row.n_hi, row.value, row.infinite) == (22, 24, None, False)
+            assert "between 5 and 10" in row.note
+        row = table_row(4, 25)
+        assert row.value == 5 and row.n_hi is None
+        assert row.proven_by == ("construction",) and row.instance_name == "clique-partition:4"
 
     def test_max_a_filter_and_bounds(self):
         assert all(r.attackers <= 2 for r in k_table(2))
@@ -641,9 +745,7 @@ class TestKTable:
 
     def test_rows_recertify(self):
         for row in k_table(4):
-            if row.instance_name == "paper-21" or row.attackers >= 4:
-                continue  # certified in the acceptance suite
-            assert certify_table_row(row)
+            assert certify_table_row(row), row
 
     def test_exhaustive_rows_need_every_palette(self, monkeypatch):
         # an all-unsat sweep bounded by k_max does not certify an infinite row
