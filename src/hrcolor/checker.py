@@ -7,11 +7,19 @@ condition ("hr") when no `a` vertices jointly hold all colors. Both checks
 report the first failing set in ascending lexicographic (rank) order, so
 witnesses are the smallest failing sets.
 
-The hold condition depends on the colors alone, so `_first_cover` walks
-color masks only and never reads the graph: each (a-1)-vertex prefix ORs
-its masks once and is extended by every larger last vertex. It is skipped
-when k > a * max|κ(v)|, since `a` vertices then hold at most
-a * max|κ(v)| < k colors between them.
+The hold condition depends on the colors alone, so `_first_cover` reads
+color masks only and never the graph. It searches vertex prefixes depth
+first in rank order, and a prefix's state is (s, c): s vertices still to
+choose from its tail lo..n-1, and the union c of its masks. Whether s
+tail vertices complete c to the palette depends on the state and the
+tail alone, so the search keeps failed[(s, c)], the least lo from which
+the state has failed, and skips a prefix in a failed state whose tail
+starts there or later: its tail is a subset. Only failing prefixes are
+skipped, so the first cover found is the rank-first one. Colorings that
+repeat masks, as the paper's constructions do, have few states, and
+paper-21 at a = 4 enters far fewer prefixes than its C(21, 4) = 5,985
+sets. The search is skipped when k > a * max|κ(v)|, since `a` vertices
+then hold at most a * max|κ(v)| < k colors between them.
 
 Resistance needs one full-color connected part per attack, not whole
 components, so the single flood fill `_full_color_part` stops at the
@@ -86,7 +94,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import chain, combinations
+from itertools import chain
 from math import ceil, comb, log
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -218,20 +226,52 @@ def _first_cover(colors: Sequence[int], full: int, a: int) -> tuple[int, ...] | 
     """The first set of `a` vertices in rank order whose color masks
     together hold the whole palette `full`, or None when no `a` vertices do.
 
-    The hold condition reads colors only, never the graph. Each (a-1)-vertex
-    prefix ORs its masks once and is extended by every larger last vertex,
-    so sets come in rank order.
+    A depth-first search over prefixes in rank order, on arrays indexed by
+    depth, that skips a prefix whose state (s vertices to add, union c)
+    failed from a tail start at or before its own (see the module
+    docstring); the memo gains one entry per failing prefix, so it never
+    outgrows the prefixes entered. The first prefix 0..a-2 and its tail
+    are tried before anything is set up: most of the lemma suites' calls
+    find their cover there.
     """
     n = len(colors)
-    for prefix in combinations(range(n - 1), a - 1):
-        lo = prefix[-1] + 1 if prefix else 0
-        cm = 0
-        for u in prefix:
-            cm |= colors[u]
-        for v in range(lo, n):
-            if cm | colors[v] == full:
-                return (*prefix, v)
-    return None
+    if a > n:
+        return None
+    cm = 0
+    for u in range(a - 1):
+        cm |= colors[u]
+    for v in range(a - 1, n):
+        if cm | colors[v] == full:
+            return (*range(a - 1), v)
+    if a == 1:
+        return None
+    failed = {(1, cm): a - 1}  # (s, c) -> the least tail start it failed from
+    unions = [0] * a  # unions[j]: the union of the first j vertices chosen
+    picks = [0] * a  # picks[j]: the vertex chosen at depth j
+    j = 0  # the depth of the prefix being extended
+    v = -1  # the last vertex tried after it
+    while True:
+        v += 1
+        s = a - j
+        if v > n - s:  # every extension failed: so does the prefix
+            if not j:
+                return None
+            j -= 1
+            v = picks[j]
+            failed[s, unions[j + 1]] = v + 1
+            continue
+        c = unions[j] | colors[v]
+        if failed.get((s - 1, c), n) <= v + 1:
+            continue
+        if s == 2:
+            for w in range(v + 1, n):
+                if c | colors[w] == full:
+                    return (*picks[:j], v, w)
+            failed[1, c] = v + 1
+            continue
+        picks[j] = v
+        j += 1
+        unions[j] = c
 
 
 def _rank(attack: Sequence[int], n: int) -> int:

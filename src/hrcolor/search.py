@@ -408,8 +408,9 @@ def k_table(max_a: int = 4) -> list[KEntry]:
     """The known minimum-color rows for attack sizes up to max_a (<= 4).
 
     Construction-backed rows name a catalog instance that realizes the
-    value; infinite rows for sizes beyond the labeled sweep limit rest on
-    the cited source.
+    value. The paper-14 and paper-21 rows also cite the source, since
+    their constructions prove only the upper bound. Infinite rows for
+    sizes beyond the labeled sweep limit rest on the cited source.
     """
     if not 1 <= max_a <= 4:
         raise ValueError("the table covers attack sizes 1..4")
@@ -420,10 +421,10 @@ def k_table(max_a: int = 4) -> list[KEntry]:
         KEntry(2, 1, 8, None, True, ("paper-citation",)),
         KEntry(2, 9, None, 3, False, ("construction",), "clique-partition:2"),
         KEntry(3, 1, 13, None, True, ("paper-citation",)),
-        KEntry(3, 14, 15, 7, False, ("construction",), "paper-14"),
+        KEntry(3, 14, 15, 7, False, ("construction", "paper-citation"), "paper-14"),
         KEntry(3, 16, None, 4, False, ("construction",), "clique-partition:3"),
         KEntry(4, 1, 20, None, True, ("paper-citation",)),
-        KEntry(4, 21, 21, 10, False, ("construction",), "paper-21"),
+        KEntry(4, 21, 21, 10, False, ("construction", "paper-citation"), "paper-21"),
         KEntry(4, 22, 24, None, False, (),
                note="between 5 and 10: k >= a+1, and paper-21 plus isolated vertices gives 10"),
         KEntry(4, 25, None, 5, False, ("construction",), "clique-partition:4"),

@@ -503,19 +503,87 @@ def test_matches_naive_oracle_on_random_instances():
         assert (None if res_wit is None else res_wit.vertices()) == exp_wit
 
 
+def assert_first_cover_matches_naive(masks, k, a):
+    """`_first_cover`'s verdict and rank-first witness against the naive
+    hold check."""
+    color_sets = [{c + 1 for c in range(k) if m >> c & 1} for m in masks]
+    cover = checker._first_cover(masks, (1 << k) - 1, a)
+    expected = naive_check_hr(len(masks), [], k, color_sets, a)
+    assert (cover is None, cover) == expected, (masks, k, a)
+
+
 def test_first_cover_matches_the_naive_hold_check():
-    # the color-only scan behind check_hr, lemma_disjunction and run_lemma:
-    # verdict and rank-first witness, with empty color sets, k = 1, a = 1
-    # and a = n among the draws
+    # the color-only search behind check_hr, lemma_disjunction, run_lemma
+    # and search's hold cover: verdict and rank-first witness, with empty
+    # color sets and k = 1 among the draws, at every attack size
     rng = random.Random(31)
     for _ in range(400):
         n = rng.randint(1, 9)
         k = rng.choice((1, rng.randint(1, 5)))
         color_sets = random_color_sets(rng, n, k, rng.choice((0.0, 0.25, 0.5, 0.75)))
         masks = [sum(1 << (c - 1) for c in s) for s in color_sets]
-        for a in sorted({1, n, rng.randint(1, n)}):
-            cover = checker._first_cover(masks, (1 << k) - 1, a)
-            assert (cover is None, cover) == naive_check_hr(n, [], k, color_sets, a)
+        for a in range(1, n + 1):
+            assert_first_cover_matches_naive(masks, k, a)
+    # masks drawn from a pool of 1-3 distinct masks, 0 among the choices:
+    # many prefixes share a state (s, c), so the memo skips most of them
+    rng = random.Random(32)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        k = rng.randint(1, 5)
+        pool = rng.sample(range(1 << k), min(rng.randint(1, 3), 1 << k))
+        masks = [rng.choice(pool) for _ in range(n)]
+        for a in range(1, min(n, 5) + 1):
+            assert_first_cover_matches_naive(masks, k, a)
+
+
+def test_first_cover_matches_the_naive_hold_check_on_the_catalog():
+    # `_first_cover` itself, past the k > a * max|κ(v)| bound that settles
+    # the clique partitions in `_cover`, up to one size past each design
+    for inst in catalog():
+        for a in range(1, inst.attackers + 2):
+            assert_first_cover_matches_naive(
+                list(inst.coloring.masks), inst.coloring.palette_size, a
+            )
+
+
+@st.composite
+def repeated_masks(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    pool = draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << k) - 1),
+                 min_size=1, max_size=3, unique=True)
+    )
+    masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    a = draw(st.integers(min_value=1, max_value=min(5, len(masks))))
+    return masks, k, a
+
+
+@given(repeated_masks())
+@settings(max_examples=300)
+def test_first_cover_matches_the_naive_hold_check_on_repeated_masks(case):
+    assert_first_cover_matches_naive(*case)
+
+
+def test_first_cover_work_is_bounded_by_its_states():
+    # five copies of paper-21's masks: n = 105 and C(105, 4) ≈ 4.8e6 sets,
+    # none of which holds the palette. Its 8 distinct masks give few
+    # states (s, c), so the search ORs masks far fewer times than a scan
+    # of every 3-vertex prefix, which needs millions; each OR that touches
+    # a color mask is counted
+    ors = 0
+
+    class Counted(int):
+        def __or__(self, other):
+            nonlocal ors
+            ors += 1
+            return int.__or__(self, other)
+
+        __ror__ = __or__
+
+    kappa = c8c8p5().coloring
+    masks = [Counted(m) for m in kappa.masks] * 5
+    assert checker._first_cover(masks, (1 << kappa.palette_size) - 1, 4) is None
+    assert 0 < ors <= 50_000, ors
 
 
 def test_catalog_instances_agree_with_the_naive_reference():

@@ -370,7 +370,7 @@ class TestTable:
         rc, out, _ = run(capsys, "table", "--max-a", "4", "--threads", "2")
         assert rc == 0
         assert "n=21" in out and "10" in out
-        assert "construction [paper-21]" in out
+        assert "construction + paper-citation [paper-21]" in out
         assert "n>=16" in out
         assert "paper-citation" in out
 
@@ -385,7 +385,8 @@ class TestTable:
         obj = json.loads(out)
         rows = obj["rows"]
         assert {"attackers": 3, "n_lo": 14, "n_hi": 15, "value": 7, "infinite": False,
-                "proven_by": ["construction"], "instance": "paper-14", "note": ""} in rows
+                "proven_by": ["construction", "paper-citation"], "instance": "paper-14",
+                "note": ""} in rows
 
     def test_bad_max_a(self, capsys):
         rc, _, _ = run(capsys, "table", "--max-a", "5")

@@ -717,14 +717,16 @@ class TestPaletteBound:
 
 class TestKTable:
     def test_known_rows(self):
+        # the constructions prove the upper bounds; the lower bounds are cited
         row = table_row(3, 14)
-        assert row.value == 7 and row.proven_by == ("construction",)
+        assert row.value == 7 and row.proven_by == ("construction", "paper-citation")
         row = table_row(3, 16)
         assert row.value == 4
         row = table_row(4, 20)
         assert row.infinite and row.proven_by == ("paper-citation",)
         row = table_row(4, 21)
         assert row.value == 10 and row.instance_name == "paper-21"
+        assert row.proven_by == ("construction", "paper-citation")
         row = table_row(1, 3)
         assert row.infinite
         assert set(row.proven_by) == {"exhaustive-search", "paper-citation"}
