@@ -414,11 +414,11 @@ def _walk(g: Graph, a: int, flood: Callable[[int], int]) -> tuple[int, ...] | No
     before each next attacker, so parts found below it count at once.
 
     The first attack is flooded before anything is set up, so a walk that
-    fails it costs one fill and none of the set-up. Blocked graphs in
-    sweeps mostly fail there: every graph on 5 vertices is blocked at
-    a = 2, 1,016 of the 1,024 by the first attack, and `blocking_attack`
-    over all of them took about 2.4 ms with this shortcut against
-    5.8-8.7 ms without it (best of 9 passes on a 2-core host).
+    fails it costs one fill and none of the set-up. Sweeps no longer reach
+    the walk with such graphs: `search._open_graphs` settles them in bulk
+    before building them (1,016 of the 1,024 graphs on 5 vertices at
+    a = 2), so every walk a sweep makes passes the first attack. The
+    shortcut still serves `decide` and `min_colors` on a single graph.
     """
     n = g.n
     closed = g.closed_masks

@@ -16,6 +16,7 @@ import pytest
 import hrcolor
 from hrcolor import search
 from hrcolor.checker import check_highly, check_hr
+from hrcolor.cli import main
 from hrcolor.coloring import Multicoloring, from_class_masks
 from hrcolor.constructions import catalog, clique_partition
 from hrcolor.graph import Graph, complete, cycle, disjoint_union, from_pair_bits, path
@@ -634,20 +635,22 @@ def min_colors_by_decide(g, a, k_max, budget):
     return MinColorsResult("unknown" if unknown else "none", None, tuple(trail))
 
 
-def sweep_by_decide(n, a, k_max, budget):
-    """`exhaustive_nonexistence` composed from `min_colors_by_decide`."""
+def sweep_per_graph(n, a, k_max, budget, scan):
+    """`exhaustive_nonexistence` with nothing settled in bulk: every labeled
+    graph g is built, and `scan(g)` returns whether g is blocked and its
+    palette trail."""
     total = 1 << comb(n, 2)
     nodes = unknown = 0
     every_palette = True
     sat = None
     for bits in range(total):
         g = from_pair_bits(n, bits)
-        every_palette &= blocking_attack(g, a) is not None
-        trail = min_colors_by_decide(g, a, k_max, budget).trail
+        blocked, trail = scan(g)
+        every_palette &= blocked
         nodes += sum(d.nodes_expanded for _, d in trail)
         unknown += sum(d.outcome == UNKNOWN for _, d in trail)
-        k, d = trail[-1]
-        if d.outcome == SAT:
+        if trail and trail[-1][1].outcome == SAT:
+            k, d = trail[-1]
             sat = (bits + 1, g, k, d.witness)
             break
     examined, sat_graph, sat_k, witness = sat or (total, None, None, None)
@@ -656,6 +659,32 @@ def sweep_by_decide(n, a, k_max, budget):
         outcome, n, a, k_max, budget, total, examined, sat_graph, sat_k, witness,
         unknown, nodes, every_palette,
     )
+
+
+def sweep_by_decide(n, a, k_max, budget):
+    """`exhaustive_nonexistence` composed from `min_colors_by_decide`."""
+    def scan(g):
+        blocked = blocking_attack(g, a) is not None
+        return blocked, min_colors_by_decide(g, a, k_max, budget).trail
+    return sweep_per_graph(n, a, k_max, budget, scan)
+
+
+def sweep_by_set_up(n, a, k_max, budget):
+    """`exhaustive_nonexistence` as one set-up and one palette scan per
+    graph, as the sweep ran before it settled graphs in bulk."""
+    def scan(g):
+        setup = search._attack_lists(g, a)
+        if setup is None:
+            return True, ()
+        return False, search._scan_palettes(g, a, k_max, budget, setup).trail
+    return sweep_per_graph(n, a, k_max, budget, scan)
+
+
+def first_attack_open(g, a):
+    """Whether the attack 0..a-1 leaves an oracle component of more than a
+    vertices."""
+    comps = naive_components(*_attacked(g.n, list(g.edges()), tuple(range(a))))
+    return any(len(c) > a for c in comps)
 
 
 class TestSharedSetUp:
@@ -668,10 +697,13 @@ class TestSharedSetUp:
         r = min_colors(clique_partition(2).graph, 2, 5, 0)
         assert [k for k, _ in r.trail] == [3, 4, 5]
         assert len(walks) == 1 and len(listings) == 1
-        walks.clear()
-        s = exhaustive_nonexistence(4, 1, 3)
-        assert s.outcome == "found-sat"
-        assert len(walks) == s.graphs_examined
+        for n, a, k_max in ((4, 1, 3), (5, 1, 3), (5, 2, 3)):
+            walks.clear()
+            s = exhaustive_nonexistence(n, a, k_max)
+            # the sweep settles a graph whose first attack leaves no
+            # component of more than a vertices without walking it
+            graphs = (from_pair_bits(n, bits) for bits in range(s.graphs_examined))
+            assert [g for g, _ in walks] == [g for g in graphs if first_attack_open(g, a)]
 
     def test_min_colors_is_decide_per_palette(self):
         for n in range(1, 5):
@@ -692,6 +724,50 @@ class TestSharedSetUp:
                         assert exhaustive_nonexistence(n, a, k_max, budget) == sweep_by_decide(
                             n, a, k_max, budget
                         ), (n, a, k_max, budget)
+
+
+class TestBulkSettledSweeps:
+    """Sweeps settle graphs blocked by their first attack in bulk and must
+    answer as a sweep that builds and tests every graph does."""
+
+    def test_sweep_is_one_set_up_per_graph(self):
+        for n in range(1, 6):
+            for a in range(1, n + 1):
+                for k_max in (a + 1, a + 2):
+                    for budget in (0, 3, 10**6):
+                        assert exhaustive_nonexistence(n, a, k_max, budget) == sweep_by_set_up(
+                            n, a, k_max, budget
+                        ), (n, a, k_max, budget)
+        for a in range(1, 7):
+            assert exhaustive_nonexistence(6, a, a + 1) == sweep_by_set_up(6, a, a + 1, 10**6), a
+
+    def test_open_graphs_ascend_and_match_the_oracle(self):
+        # ascending order keeps the first sat graph, and graphs_examined
+        for n in range(1, 7):
+            for a in range(1, n + 1):
+                want = [bits for bits in range(1 << comb(n, 2))
+                        if first_attack_open(from_pair_bits(n, bits), a)]
+                assert list(search._open_graphs(n, a)) == want, (n, a)
+
+    @pytest.mark.parametrize("n, a, k_max, builds, walks", [
+        (5, 2, 3, 16, 8),
+        (6, 3, 4, 8, 0),
+        (6, 2, 3, 999, None),
+    ])
+    def test_work_is_bounded(self, monkeypatch, n, a, k_max, builds, walks):
+        built = count_calls(monkeypatch, "from_pair_bits")
+        walked = count_calls(monkeypatch, "blocking_attack")
+        s = exhaustive_nonexistence(n, a, k_max)
+        assert s.outcome == "all-unsat" and s.graphs_examined == 1 << comb(n, 2)
+        assert len(built) <= builds
+        assert walks is None or len(walked) <= walks
+
+    def test_cli_sweep_at_six_vertices(self, capsys):
+        rc = main(["search", "--nonexistence", "-n", "6", "-a", "3", "--kmax", "4",
+                   "--format", "json"])
+        obj = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert obj["outcome"] == "all-unsat" and obj["every_palette"] is True
 
 
 class TestPaletteBound:
