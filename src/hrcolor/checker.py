@@ -49,10 +49,12 @@ failing attack of a plain scan over all C(n, a) sets.
 These rules use one fact about a part P: an attack that misses N[P]
 leaves P whole, inside one surviving component. So they hold for any
 part test that a connected superset of a passing part also passes, and
-`_walk` takes the test as a flood function. Two tests use it: "holds
-every color", which the resistance walk `_scan` floods with
-`_full_color_part`, and "has more than a vertices", whose flood in
-`search.blocking_attack` returns a surviving component of that size.
+`_walk` takes the test as a flood function on closed-neighborhood masks.
+Two tests use it, and both pass on such supersets: "holds every color",
+which the resistance walk `_scan` floods with `_full_color_part`, since a
+superset holds every color its subset holds; and "has more than a
+vertices", which `search.blocking_attack` floods with `_large`, since a
+superset is at least as large.
 
 A graph of two or more components is first settled component by
 component. Let κ on component H_i be b-resistant for every b <= ρ_i and
@@ -63,10 +65,10 @@ added, so this is well defined. Then κ is a-resistant on G iff
 part anywhere, and an a-attack, which puts fewer than ρ_i + 1 of them in
 some H_i when the sum exceeds a, leaves a full-color part there. `_scan`
 counts 1 for each full-color component and then raises the count round
-by round, walking each component with b = 1, 2, ... attackers, and
-returns None as soon as the count passes `a`. Only a coloring that is
-not `a`-resistant, or a connected graph, reaches the whole-graph walk,
-which finds the rank-first witness.
+by round, walking each component's relabelled masks with b = 1, 2, ...
+attackers, and returns None as soon as the count passes `a`. Only a
+coloring that is not `a`-resistant, or a connected graph, reaches the
+whole-graph walk, which finds the rank-first witness.
 
 `check_highly` reports the hold test's and the walk's witnesses, and as
 `attack_sets_examined` the count a sequential scan needs to settle both
@@ -93,10 +95,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import chain
 from math import ceil, comb, log
-from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Multicoloring
@@ -222,6 +223,12 @@ def _full_color_part(
     return 0
 
 
+def _large(closed: tuple[int, ...], a: int, survivors: int) -> int:
+    """The first component of the `survivors` mask with more than `a`
+    vertices, or 0: the part test of `search.blocking_attack` and sweeps."""
+    return next((c for c in component_masks(closed, survivors) if c.bit_count() > a), 0)
+
+
 def _first_cover(colors: Sequence[int], full: int, a: int) -> tuple[int, ...] | None:
     """The first set of `a` vertices in rank order whose color masks
     together hold the whole palette `full`, or None when no `a` vertices do.
@@ -322,7 +329,7 @@ def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     comps = component_masks(closed, g.full_mask)
     if len(comps) > 1 and _components_resist(closed, colors, full, comps, a):
         return None
-    return _walk(g, a, partial(_full_color_part, closed, colors, full))
+    return _walk(closed, a, partial(_full_color_part, closed, colors, full))
 
 
 def _components_resist(
@@ -352,19 +359,19 @@ def _components_resist(
     if total > a:
         return True
     # relabelled when first walked, since a round can end at any component
-    walks: Iterable[tuple[Graph, Callable[[int], int]]] = (
+    walks: Iterable[tuple[tuple[int, ...], Callable[[int], int]]] = (
         _induced(closed, colors, full, vs) for vs in alive
     )
     b = 1
     while True:
         left = []
-        for h, flood in walks:
-            if _walk(h, b, flood) is None:
+        for sub, flood in walks:
+            if _walk(sub, b, flood) is None:
                 total += 1
                 if total > a:
                     return True
-                if h.n > b + 1:
-                    left.append((h, flood))
+                if len(sub) > b + 1:
+                    left.append((sub, flood))
         if not left:
             return False
         walks = left
@@ -373,8 +380,8 @@ def _components_resist(
 
 def _induced(
     closed: tuple[int, ...], colors: tuple[int, ...], full: int, vs: list[int]
-) -> tuple[Graph, Callable[[int], int]]:
-    """The subgraph induced on the component `vs` (ascending), with vs[i]
+) -> tuple[tuple[int, ...], Callable[[int], int]]:
+    """The closed masks of the component `vs` (ascending), with vs[i]
     relabelled i, and its full-color flood. A component's closed
     neighborhoods lie inside it, so each relabels bit by bit."""
     relabel = {1 << u: 1 << i for i, u in enumerate(vs)}
@@ -388,14 +395,15 @@ def _induced(
             m ^= b
         sub.append(x)
     masks = tuple(sub)
-    return Graph._from_closed(len(vs), masks), partial(
-        _full_color_part, masks, tuple(colors[u] for u in vs), full
-    )
+    return masks, partial(_full_color_part, masks, tuple(colors[u] for u in vs), full)
 
 
-def _walk(g: Graph, a: int, flood: Callable[[int], int]) -> tuple[int, ...] | None:
-    """The first attack in rank order whose survivors hold no part, or None
-    when every attack leaves one.
+def _walk(
+    closed: tuple[int, ...], a: int, flood: Callable[[int], int]
+) -> tuple[int, ...] | None:
+    """The first attack in rank order, on the graph with these closed
+    neighborhoods, whose survivors hold no part, or None when every attack
+    leaves one.
 
     `flood(survivors)` returns a connected set of the `survivors` mask
     that passes the walk's part test, or 0 when no component of the
@@ -412,21 +420,11 @@ def _walk(g: Graph, a: int, flood: Callable[[int], int]) -> tuple[int, ...] | No
     with one AND. A new part is unhit by every prefix on the stack, since
     the attack that found it misses it. Each prefix is bounded again
     before each next attacker, so parts found below it count at once.
-
-    The first attack is flooded before anything is set up, so a walk that
-    fails it costs one fill and none of the set-up. Sweeps no longer reach
-    the walk with such graphs: `search._open_graphs` settles them in bulk
-    before building them (1,016 of the 1,024 graphs on 5 vertices at
-    a = 2), so every walk a sweep makes passes the first attack. The
-    shortcut still serves `decide` and `min_colors` on a single graph.
+    The walk starts with no part kept, so its first leaf, the attack
+    0..a-1, is always flooded.
     """
-    n = g.n
-    closed = g.closed_masks
-    all_mask = g.full_mask
-
-    # no part is known before the first attack, so it is always flooded
-    if not (first := flood(all_mask & ~reduce(or_, closed[:a]))):
-        return tuple(range(a))
+    n = len(closed)
+    all_mask = (1 << n) - 1
     nbhd = [0] * _RECENT_PARTS  # N[P] of the part P in each slot
     hits = [0] * n  # the slots whose N[P] holds each vertex
     fills = 0  # parts found so far; the next goes to slot fills % _RECENT_PARTS
@@ -474,8 +472,7 @@ def _walk(g: Graph, a: int, flood: Callable[[int], int]) -> tuple[int, ...] | No
             return -1, 0
         return min(low, n - s), both & (all_mask >> lo << lo)
 
-    keep(first)
-    rm, unhit, lo = 0, 1, 0  # the prefix to enter; slot 0 holds `first`
+    rm, unhit, lo = 0, 0, 0  # the prefix to enter: the empty one
     while True:
         s = a - len(stack)
         if s == 1:

@@ -453,10 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except codec.CodecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # a codec.CodecError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

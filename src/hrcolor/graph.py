@@ -137,8 +137,7 @@ class Graph:
         `from_pair_bits`, whose pair layout cannot name a bad edge, the
         codec's decoders, which check each edge as they write it in, and
         the shape builders (`path`, `cycle`, `complete`,
-        `disjoint_union`), whose masks are fixed by the shape, and
-        `checker._induced`, which relabels one component of a valid graph.
+        `disjoint_union`), whose masks are fixed by the shape.
         """
         g = object.__new__(cls)
         g.n = n

@@ -3,7 +3,9 @@
 (a) pins `hrcolor.__all__`; (b) pins the names and signatures that the
 benchmark under `bench/` calls, so that deleting one fails here rather than
 in a benchmark run; (c) fails when `src/hrcolor` defines a function, class
-or method that nothing in the package reaches and `__all__` does not export.
+or method that nothing in the package reaches and `__all__` does not export;
+(d) keeps the unchecked `Graph._from_closed` to the modules that check the
+masks they hand it.
 """
 
 import ast
@@ -153,3 +155,19 @@ def test_every_definition_is_reached_or_exported():
     # every exemption still names a definition
     defined = {q for tree in trees.values() for q, _ in _definitions(tree)}
     assert set(KEPT_UNREACHED) <= defined
+
+
+# ------------------------------------------- (d) unchecked graph builds
+
+
+def test_from_closed_is_called_only_by_the_builders_that_check_their_masks():
+    callers = set()
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_from_closed"
+            ):
+                callers.add(p.name)
+    assert callers == {"graph.py", "codec.py"}

@@ -762,6 +762,19 @@ class TestBulkSettledSweeps:
         assert len(built) <= builds
         assert walks is None or len(walked) <= walks
 
+    def test_no_graph_is_built_when_the_first_attack_leaves_at_most_a_vertices(
+        self, monkeypatch
+    ):
+        # n - a <= a: the attack 0..a-1 leaves at most a vertices, so it
+        # blocks every graph
+        built = count_calls(monkeypatch, "from_pair_bits")
+        for n in range(1, 7):
+            for a in range(max(1, (n + 1) // 2), n + 1):
+                s = exhaustive_nonexistence(n, a, a + 1)
+                assert built == [], (n, a)
+                assert (s.outcome, s.every_palette, s.nodes_expanded) == ("all-unsat", True, 0)
+                assert s.graphs_examined == s.graphs_total == 1 << comb(n, 2)
+
     def test_cli_sweep_at_six_vertices(self, capsys):
         rc = main(["search", "--nonexistence", "-n", "6", "-a", "3", "--kmax", "4",
                    "--format", "json"])
