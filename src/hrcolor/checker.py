@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain
 from math import ceil, comb, log
@@ -102,6 +101,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import Multicoloring
 from .graph import Graph, VertexSet, _bits, component_masks
+from .record import Record
 
 # parts the walk or a sample keeps for reuse, one per slot of a
 # ring; the walk pays one memo entry per distinct set of unhit slots
@@ -110,8 +110,7 @@ _RECENT_PARTS = 16
 _BLOCK_WORDS = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+class CheckReport(Record):
     """Joint verdict of the hold condition and resistance for one attack size.
 
     Witnesses are present exactly for the failing condition and are the
@@ -140,8 +139,7 @@ class CheckReport:
         return self.hr_holds and self.resistant
 
 
-@dataclass(frozen=True, slots=True)
-class SampleReport:
+class SampleReport(Record):
     """Outcome of a seeded random sample of attack sets.
 
     Replaying with the same seed, trial count, and substream count
@@ -539,12 +537,13 @@ def check_highly(g: Graph, kappa: Multicoloring, a: int) -> CheckReport:
         examined = max(_rank(cover, n), _rank(failing, n)) + 1
     else:
         examined = comb(n, a)
+    # positional, once per op: a keyword call binds through Record._bind
     return CheckReport(
-        hr_holds=cover is None,
-        hr_witness=None if cover is None else VertexSet.from_vertices(cover, n),
-        resistant=failing is None,
-        resistance_witness=None if failing is None else VertexSet.from_vertices(failing, n),
-        attack_sets_examined=examined,
+        cover is None,
+        None if cover is None else VertexSet.from_vertices(cover, n),
+        failing is None,
+        None if failing is None else VertexSet.from_vertices(failing, n),
+        examined,
     )
 
 

@@ -229,10 +229,8 @@ def decode_instance(text: str) -> ColoredInstance:
         closed[u] |= 1 << v
         closed[v] |= 1 << u
     kappa = _coloring(obj["colors"], k, n)
-    return ColoredInstance(
-        name=name, graph=Graph._from_closed(n, tuple(closed)), coloring=kappa,
-        attackers=attackers,
-    )
+    # positional, once per op: a keyword call binds through Record._bind
+    return ColoredInstance(name, Graph._from_closed(n, tuple(closed)), kappa, attackers)
 
 
 def decode_edge_list(text: str) -> Graph:

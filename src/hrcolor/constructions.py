@@ -6,14 +6,12 @@ size; the test suite re-certifies all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import Multicoloring
 from .graph import MAX_VERTICES, Graph, complete, cycle, disjoint_union, path
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredInstance:
+class ColoredInstance(Record):
     """A graph, a multicoloring of it, and the attack size it is built for."""
 
     name: str

@@ -17,8 +17,9 @@ large construction costs time linear in its masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .record import Record
 
 #: Largest vertex count a document may declare or a construction may build.
 #: Decoding a graph allocates per-vertex structures before any edge is read,
@@ -35,8 +36,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class VertexSet:
+class VertexSet(Record):
     """Immutable subset of the vertices 0..capacity-1, backed by a bit mask."""
 
     mask: int

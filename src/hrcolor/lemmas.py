@@ -28,7 +28,6 @@ trial stream is the one the documented draw order gives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterator
@@ -36,10 +35,10 @@ from typing import Iterator
 from .checker import _below, _check_attack_size, _first_cover, _scan
 from .coloring import Multicoloring
 from .graph import Graph, component_masks, cycle, from_pair_bits
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class LemmaScope:
+class LemmaScope(Record):
     lemma_id: int
     description: str
     fixed_cycle: int | None  # when set, every trial uses this cycle graph
@@ -72,8 +71,7 @@ SCOPES: dict[int, LemmaScope] = {
 LEMMA_IDS = tuple(sorted(SCOPES))
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(Record):
     """A replayable counterexample to a suite's disjunction."""
 
     trial_index: int
@@ -83,8 +81,7 @@ class Violation:
     r: int
 
 
-@dataclass(frozen=True, slots=True)
-class LemmaRunReport:
+class LemmaRunReport(Record):
     lemma_id: int
     trials: int
     seed: int

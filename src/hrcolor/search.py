@@ -57,7 +57,6 @@ so every graph is blocked and none is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
 from typing import Iterator, Sequence
@@ -67,6 +66,7 @@ from .checker import _check_attack_size, _first_cover, _large, _walk, check_high
 from .codec import MAX_COLORS
 from .coloring import Multicoloring, from_class_masks
 from .graph import Graph, component_masks, from_pair_bits
+from .record import Record
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -77,8 +77,7 @@ UNKNOWN = "unknown"
 MAX_NONEXISTENCE_N = 6
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(Record):
     """Search outcome for one (graph, a, k) question.
 
     `nodes_expanded` counts class-choice candidates examined; UNKNOWN is
@@ -101,8 +100,7 @@ class Decision:
             raise ValueError("witness must be present exactly for sat outcomes")
 
 
-@dataclass(frozen=True, slots=True)
-class MinColorsResult:
+class MinColorsResult(Record):
     """Smallest working palette size in [a+1, k_max], if the scan settled it."""
 
     status: str  # "found" | "none" | "unknown"
@@ -110,8 +108,7 @@ class MinColorsResult:
     trail: tuple[tuple[int, Decision], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class NonexistenceSummary:
+class NonexistenceSummary(Record):
     """Aggregate verdict of a labeled-graph sweep at one attack size.
 
     `every_palette` is set when every graph has a blocking attack, so the
@@ -133,8 +130,7 @@ class NonexistenceSummary:
     every_palette: bool
 
 
-@dataclass(frozen=True, slots=True)
-class KEntry:
+class KEntry(Record):
     """One row of the minimum-color table.
 
     `value` is the minimum color count for the row's n range, None with

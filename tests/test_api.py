@@ -5,11 +5,15 @@ benchmark under `bench/` calls, so that deleting one fails here rather than
 in a benchmark run; (c) fails when `src/hrcolor` defines a function, class
 or method that nothing in the package reaches and `__all__` does not export;
 (d) keeps the unchecked `Graph._from_closed` to the modules that check the
-masks they hand it.
+masks they hand it; (e) imports the package without compiling source
+strings at run time.
 """
 
 import ast
+import builtins
+import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import hrcolor
@@ -171,3 +175,34 @@ def test_from_closed_is_called_only_by_the_builders_that_check_their_masks():
             ):
                 callers.add(p.name)
     assert callers == {"graph.py", "codec.py"}
+
+
+# ------------------------------------------- (e) no runtime code generation
+
+
+def test_import_compiles_no_source_strings(monkeypatch):
+    # every command-line run pays the import; `dataclasses` and
+    # `namedtuple` build their methods by exec/eval of source strings,
+    # while importlib executes code objects, which are not counted
+    strings = []
+
+    def counting(real):
+        def wrapper(source, *args, **kwargs):
+            if isinstance(source, str):
+                strings.append(source)
+            return real(source, *args, **kwargs)
+
+        return wrapper
+
+    saved = {m: sys.modules.pop(m) for m in list(sys.modules) if m.split(".")[0] == "hrcolor"}
+    try:
+        monkeypatch.setattr(builtins, "exec", counting(builtins.exec))
+        monkeypatch.setattr(builtins, "eval", counting(builtins.eval))
+        importlib.import_module("hrcolor")
+        importlib.import_module("hrcolor.cli")
+    finally:
+        monkeypatch.undo()
+        for m in [m for m in sys.modules if m.split(".")[0] == "hrcolor"]:
+            del sys.modules[m]
+        sys.modules.update(saved)
+    assert len(strings) == 0, strings[:3]

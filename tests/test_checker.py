@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -30,6 +29,7 @@ from oracles import (
     random_color_sets,
     random_edges,
 )
+from records import replace
 
 
 def k2_two_colors():

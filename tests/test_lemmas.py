@@ -11,7 +11,6 @@ scopes judge the replay with the naive checkers instead.
 
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
@@ -23,6 +22,7 @@ from hrcolor.coloring import Multicoloring
 from hrcolor.graph import Graph, cycle, disjoint_union, from_pair_bits
 
 from oracles import naive_check_hr, naive_check_resistant, naive_components
+from records import replace
 
 SEEDS = (0, 1, 2)
 TRIALS = 200

@@ -6,7 +6,6 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
@@ -43,6 +42,7 @@ from oracles import (
     naive_components,
     raw_search_exists,
 )
+from records import replace
 
 
 def two_k2():
