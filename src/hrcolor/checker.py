@@ -92,7 +92,6 @@ benchmark stops passing it.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from functools import cache, partial
 from itertools import chain
@@ -549,6 +548,8 @@ def check_highly(g: Graph, kappa: Multicoloring, a: int) -> CheckReport:
 
 def substream_seed(seed: int, worker: int) -> int:
     """Deterministic 64-bit child seed for a (seed, worker index) pair."""
+    import hashlib  # here, not at the top: only `check --sample` needs it
+
     digest = hashlib.sha256(f"{seed}:{worker}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -10,6 +10,11 @@ Every command but `construct`, which writes a bare instance document,
 builds its report's JSON object and human text side by side and hands both
 to `_emit`, the one writer of every report; `_EXIT` is the one map from a
 report's verdict to its exit code.
+
+`main` parses a command's flags with that command's parser alone. The full
+parser runs only when the first word names no command (no arguments, `-h`,
+an unknown word) or the command leaves arguments it does not know; then it
+prints the same help and usage errors as a full parse always did.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Mapping
 
 from . import codec, constructions, lemmas, search
 from .checker import check_highly, sample_check
@@ -368,6 +373,11 @@ def _positive_int(raw: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's parser by command name."""
     parser = argparse.ArgumentParser(
         prog="hrcolor",
         description="Verify, construct, and search for highly attack-resistant "
@@ -434,21 +444,29 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_table)
     p_table.set_defaults(func=cmd_table)
 
-    return parser
+    return parser, sub.choices
 
 
 _parser: argparse.ArgumentParser | None = None
+_commands: Mapping[str, argparse.ArgumentParser] = {}
 
 
 def main(argv: list[str] | None = None) -> int:
     # built on the first call and reused: building it costs more than a
     # small check, and argparse looks up sys.stdout and sys.stderr only
     # when it prints
-    global _parser
+    global _parser, _commands
     if _parser is None:
-        _parser = build_parser()
+        _parser, _commands = _build()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser.parse_args(argv)
+        # called as the full parser's command action calls it; the full
+        # parser only prints help and usage errors (module docstring)
+        sub = _commands.get(argv[0]) if argv else None
+        args, extra = sub.parse_known_args(argv[1:]) if sub is not None else (None, True)
+        if extra:
+            args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -3,6 +3,11 @@
 Everything here works on plain sets, dicts, and lists: explicit subgraph
 rebuilds, dictionary flood fills, no bit masks, no early exits. The point
 is to share nothing with the optimized code paths under test.
+
+The one early exit is `naive_check_hr`'s return at its first covering set.
+It scans in lexicographic order, so that set is the witness a full scan
+would keep, and a passing scan still reads every set; it spares reading
+the millions of sets after a witness on the catalog's large instances.
 """
 
 from __future__ import annotations
@@ -54,14 +59,13 @@ def naive_check_hr(
     n: int, edges: list[tuple[int, int]], k: int, colors: list[set[int]], a: int
 ) -> tuple[bool, tuple[int, ...] | None]:
     palette = set(range(1, k + 1))
-    witness = None
     for attack in combinations(range(n), a):
         held: set[int] = set()
         for u in attack:
             held = held | colors[u]
-        if held == palette and witness is None:
-            witness = attack
-    return witness is None, witness
+        if held == palette:
+            return False, attack
+    return True, None
 
 
 def naive_check_resistant(

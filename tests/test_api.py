@@ -6,13 +6,16 @@ in a benchmark run; (c) fails when `src/hrcolor` defines a function, class
 or method that nothing in the package reaches and `__all__` does not export;
 (d) keeps the unchecked `Graph._from_closed` to the modules that check the
 masks they hand it; (e) imports the package without compiling source
-strings at run time.
+strings at run time; (f) leaves modules that only some commands use
+unloaded until they run.
 """
 
 import ast
 import builtins
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,6 +69,7 @@ PUBLIC = [
 # its reason
 KEPT_UNREACHED = {
     "Graph.num_edges": "bench/workloads.py writes edge-list headers with it",
+    "build_parser": "public: the full parser tree, which tests/test_cli.py parses with",
 }
 
 
@@ -206,3 +210,18 @@ def test_import_compiles_no_source_strings(monkeypatch):
             del sys.modules[m]
         sys.modules.update(saved)
     assert len(strings) == 0, strings[:3]
+
+
+# ------------------------------------------- (f) no import for one command
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only `check --sample` hashes (`checker.substream_seed`); a fresh
+    # interpreter, since this one may have loaded hashlib already
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hrcolor.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

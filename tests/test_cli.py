@@ -1,12 +1,14 @@
+import argparse
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from hrcolor.checker import check_highly
-from hrcolor.cli import main
+from hrcolor.cli import EXIT_PASS, EXIT_USAGE, build_parser, main
 from hrcolor.codec import decode_instance, encode_instance
 from hrcolor.constructions import c7_pair, c8c8p5
 
@@ -418,3 +420,88 @@ class TestExitCodeContract:
                     assert json.loads(out.getvalue())["resistance_witness"] == [0]
                     assert err.getvalue() == ""
         assert capsys.readouterr() == ("", "")
+
+
+def _argvs(k2_instance, k3_edges):
+    """One valid run of each command, then help, usage errors and leftovers."""
+    return [
+        ["check", "--instance", k2_instance, "--format", "json"],
+        ["construct", "--family", "paper-14"],
+        ["search", "--graph", k3_edges, "-a", "1", "-k", "2"],
+        ["verify-lemma", "--lemma", "5", "--trials", "20"],
+        ["table", "--max-a", "1"],
+        [],
+        ["--help"],
+        ["check", "--help"],
+        ["search", "-h"],
+        ["nonsense"],
+        ["check", "--no-such-flag"],
+        ["check", "--instance", k2_instance, "--", "x"],
+        ["search", "-a", "x"],
+        ["check", "--format", "xml"],
+        ["check", "--threads", "0"],
+        ["check", "--inst", k2_instance],
+        ["--format", "json", "check"],
+        ["verify-lemma", "--lemma", "5", "--trials", "20", "extra"],
+    ]
+
+
+def _full_parse_main(argv):
+    """`main` as it ran before: the full parser over every word, then the
+    same dispatch. Returns the exit code and the parsed namespace."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return (EXIT_PASS if exc.code in (0, None) else EXIT_USAGE), None
+    try:
+        return args.func(args), args
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE, args
+
+
+class TestOneParse:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """(prog, namespace) of every parse that returns, in return order."""
+        returned = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *a, **kw):
+            result = parse_known_args(self, *a, **kw)
+            returned.append((self.prog, result[0]))
+            return result
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return returned
+
+    def test_main_matches_a_full_parse(self, capsys, parses, k2_instance, k3_edges):
+        for argv in _argvs(k2_instance, k3_edges):
+            parses.clear()
+            got = run(capsys, *argv)
+            # the namespace `main` dispatches on is the last one returned
+            ns = parses[-1][1] if parses else None
+            code, want_ns = _full_parse_main(argv)
+            assert got == (code, *capsys.readouterr()), argv
+            if want_ns is not None:
+                assert {k: v for k, v in vars(ns).items() if k != "command"} == {
+                    k: v for k, v in vars(want_ns).items() if k != "command"
+                }, argv
+
+    def test_a_valid_command_is_parsed_once(self, capsys, parses, k2_instance, k3_edges):
+        for argv in (
+            ["check", "--instance", k2_instance, "--format", "json"],
+            ["search", "--graph", k3_edges, "-a", "1", "-k", "2"],
+            ["verify-lemma", "--lemma", "5", "--trials", "20"],
+        ):
+            parses.clear()
+            run(capsys, *argv)
+            assert [prog for prog, _ in parses] == [f"hrcolor {argv[0]}"], argv
+
+    def test_leftover_flags_fall_back_to_the_full_parser(self, capsys, parses):
+        rc, out, err = run(capsys, "check", "--no-such-flag")
+        # the command's parse, then the full parse with its nested one
+        assert [prog for prog, _ in parses] == ["hrcolor check", "hrcolor check", "hrcolor"]
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage: hrcolor [-h]")
+        assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
