@@ -56,6 +56,21 @@ superset holds every color its subset holds; and "has more than a
 vertices", which `search.blocking_attack` floods with `_large`, since a
 superset is at least as large.
 
+Rule (b) also applies at the empty prefix, before any attack is walked
+or sampled: a + 1 connected full-color parts with pairwise disjoint N[P]
+prove a-resistance outright, since each attacker lies in at most one
+N[P]. The walk finds such parts only as fills of attacks it floods, and
+its parts may overlap, so `_packing` picks them up front instead, with
+small N[P]: it floods start vertices most colors first, then fewest
+neighbors first, and takes N[N[P]] out of the free vertices after each
+part P. `_scan` tries it after counting the full-color components and
+before the component rounds below (or, on a connected graph, before the
+whole-graph walk), and returns None when it finds more than `a` parts.
+So clique-partition:a at a <= its design size, settled by its a + 1
+cliques, never runs it; nor does any check whose full-color components
+have no room for more than `a` parts between them (see `_scan`), as on
+all of the paper's constructions.
+
 A graph of two or more components is first settled component by
 component. Let κ on component H_i be b-resistant for every b <= ρ_i and
 no larger b, with ρ_i = -1 when H_i lacks a color (0 attackers already
@@ -64,11 +79,12 @@ added, so this is well defined. Then κ is a-resistant on G iff
 Σ(ρ_i + 1) >= a + 1: ρ_i + 1 attackers inside each H_i leave no full-color
 part anywhere, and an a-attack, which puts fewer than ρ_i + 1 of them in
 some H_i when the sum exceeds a, leaves a full-color part there. `_scan`
-counts 1 for each full-color component and then raises the count round
-by round, walking each component's relabelled masks with b = 1, 2, ...
-attackers, and returns None as soon as the count passes `a`. Only a
-coloring that is not `a`-resistant, or a connected graph, reaches the
-whole-graph walk, which finds the rank-first witness.
+counts 1 for each full-color component and, when the packing falls short,
+raises the count round by round, walking each component's relabelled
+masks with b = 1, 2, ... attackers, and returns None as soon as the count
+passes `a`. Only a coloring that is not `a`-resistant, or a connected
+graph that the packing does not settle, reaches the whole-graph walk,
+which finds the rank-first witness.
 
 `check_highly` reports the hold test's and the walk's witnesses, and as
 `attack_sets_examined` the count a sequential scan needs to settle both
@@ -81,7 +97,9 @@ loop over `random.Random.sample`. For n < 256 the draws come in blocks,
 cut and filtered in C; a trial ORs one packed word per vertex; and the
 sampler keeps its parts in a ring of slots like the walk's. An attack A
 leaves a part P whole iff A ∩ N[P] is empty, so a trial floods only when
-it hits every kept part (see `sample_check`).
+it hits every kept part (see `sample_check`). The ring starts with the
+first min(a + 1, `_RECENT_PARTS`) parts of the packing, so when the
+packing has a + 1 parts no trial floods at all.
 
 Checks are sequential: under CPython's GIL a thread pool gains no speed.
 `check_hr` and `check_resistant` still accept a `threads` keyword and
@@ -220,6 +238,59 @@ def _full_color_part(
     return 0
 
 
+def _packing(
+    closed: tuple[int, ...], colors: tuple[int, ...], full: int, limit: int
+) -> list[int]:
+    """Up to `limit` connected parts, as masks, that each hold the whole
+    palette `full` and whose closed neighborhoods N[P] are pairwise
+    disjoint, so that more than a of them prove a-resistance (rule (b) at
+    the empty prefix; see the module docstring).
+
+    Start vertices are tried most colors first, then fewest neighbors
+    first, then in ascending order, so that parts and their N[P] come out
+    small. Each is flooded level by level over the free vertices, as
+    `_full_color_part` floods, until its colors reach `full`. A part P
+    takes N[N[P]] out of the free vertices, so no later part comes within
+    distance 2 of it. A flood that falls short has flooded a whole free
+    component, and none of its vertices is tried again.
+    """
+    n = len(closed)
+    free = starts = (1 << n) - 1
+    parts: list[int] = []
+    for v in sorted(
+        range(n), key=lambda u: (-colors[u].bit_count(), closed[u].bit_count())
+    ):
+        if not starts:  # no vertex is left that could start a part
+            break
+        if not starts >> v & 1:
+            continue
+        frontier = 1 << v
+        part = reach = cu = 0  # reach: N[part]
+        while frontier:
+            part |= frontier
+            while frontier:
+                b = frontier & -frontier
+                u = b.bit_length() - 1
+                reach |= closed[u]
+                cu |= colors[u]
+                frontier ^= b
+            if cu == full:
+                break
+            frontier = reach & free & ~part
+        else:  # the free component of v holds no full-color part
+            starts &= ~part
+            continue
+        parts.append(part)
+        if len(parts) == limit:
+            break
+        while reach:
+            b = reach & -reach
+            free &= ~closed[b.bit_length() - 1]
+            reach ^= b
+        starts &= free
+    return parts
+
+
 def _large(closed: tuple[int, ...], a: int, survivors: int) -> int:
     """The first component of the `survivors` mask with more than `a`
     vertices, or 0: the part test of `search.blocking_attack` and sweeps."""
@@ -315,49 +386,73 @@ def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     """The first attack in rank order that leaves no full-color part, or
     None when the coloring is `a`-resistant.
 
-    A graph of two or more components is first settled component by
-    component (`_components_resist`); only when the components fall short,
-    and on a connected graph, does `_walk` with the full-color flood run on
-    the whole graph, which finds the rank-first failing attack.
+    Three tests that prove resistance run before any attack is walked,
+    cheapest first: more than `a` full-color components; a packing
+    (`_packing`) of more than `a` full-color parts with pairwise disjoint
+    N[P]; and, on a graph of two or more components, the component rounds
+    (`_components_resist`). Only when all three fall short does `_walk`
+    with the full-color flood run on the whole graph, which finds the
+    rank-first failing attack.
+
+    The packing is skipped when the full-color components have no room
+    for more than `a` parts. A part P holds every color, so it has at
+    least ceil(k / max|κ(v)|) vertices; when a component of m vertices
+    holds two or more parts, none of them is the whole component, so each
+    N[P] has at least one vertex more than P, and their N[P] are
+    disjoint: such a component holds at most
+    max(1, m // (1 + ceil(k / max|κ(v)|))) parts. On the paper's
+    constructions every component holds at most one.
     """
     closed = g.closed_masks
     colors = kappa.masks
-    full = (1 << kappa.palette_size) - 1
+    k = kappa.palette_size
+    full = (1 << k) - 1
     comps = component_masks(closed, g.full_mask)
-    if len(comps) > 1 and _components_resist(closed, colors, full, comps, a):
-        return None
-    return _walk(closed, a, partial(_full_color_part, closed, colors, full))
-
-
-def _components_resist(
-    closed: tuple[int, ...], colors: tuple[int, ...], full: int, comps: list[int], a: int
-) -> bool:
-    """Whether the components `comps` make the coloring `a`-resistant,
-    that is, Σ(ρ_i + 1) >= a + 1 (see the module docstring).
-
-    A component that holds every color counts 1 for ρ_i >= 0. Then rounds
-    b = 1, 2, ... walk each component still counting with `b` attackers:
-    one that resists counts 1 more, one that fails stops counting, and one
-    of m vertices stops after b = m - 1, since m attackers remove it.
-    Returns True once the count passes `a`, False when no component is
-    left counting below it.
-    """
-    total = 0
-    alive: list[list[int]] = []  # the vertices of each counted component with m > 1
+    counted = []  # the vertices of each full-color component
     for comp in comps:
         vs = [*_bits(comp)]
         cu = 0
         for u in vs:
             cu |= colors[u]
         if cu == full:
-            total += 1
-            if len(vs) > 1:
-                alive.append(vs)
-    if total > a:
-        return True
+            counted.append(vs)
+    if len(counted) > a:
+        return None
+    if counted:
+        room = 1 + ceil(k / max(map(int.bit_count, colors)))  # least |N[P]|
+        if (
+            sum(max(1, len(vs) // room) for vs in counted) > a
+            and len(_packing(closed, colors, full, a + 1)) > a
+        ):
+            return None
+    if len(comps) > 1 and _components_resist(closed, colors, full, counted, a):
+        return None
+    return _walk(closed, a, partial(_full_color_part, closed, colors, full))
+
+
+def _components_resist(
+    closed: tuple[int, ...],
+    colors: tuple[int, ...],
+    full: int,
+    counted: list[list[int]],
+    a: int,
+) -> bool:
+    """Whether the components make the coloring `a`-resistant, that is,
+    Σ(ρ_i + 1) >= a + 1 (see the module docstring), given the vertices of
+    the full-color components, `counted`, and that there are at most `a`
+    of them.
+
+    Each full-color component counts 1 for ρ_i >= 0. Then rounds
+    b = 1, 2, ... walk each component still counting with `b` attackers:
+    one that resists counts 1 more, one that fails stops counting, and one
+    of m vertices stops after b = m - 1, since m attackers remove it.
+    Returns True once the count passes `a`, False when no component is
+    left counting below it.
+    """
+    total = len(counted)
     # relabelled when first walked, since a round can end at any component
     walks: Iterable[tuple[tuple[int, ...], Callable[[int], int]]] = (
-        _induced(closed, colors, full, vs) for vs in alive
+        _induced(closed, colors, full, vs) for vs in counted if len(vs) > 1
     )
     b = 1
     while True:
@@ -638,12 +733,16 @@ def sample_check(
     Each vertex has one packed word: its own bit, its colors, and the
     slots of the kept parts it hits. A trial ORs the words of its vertices,
     so a repeat changes nothing and the hold test reads the color bits.
-    Like `_scan`, the sampler keeps the last `_RECENT_PARTS` full-color
-    parts its fills returned in a ring of slots, each with its N[P]. An
-    attack A leaves P whole iff A ∩ N[P] is empty (equivalently, P ∩ N[A]
-    is empty, as closed neighborhoods are symmetric), so an attack with an
-    unhit slot is resisted without a fill. A fill moves only the vertices
-    that join or leave the new slot's N[P].
+    Like `_walk`, the sampler keeps the last `_RECENT_PARTS` full-color
+    parts it found in a ring of slots, each with its N[P]. An attack A
+    leaves P whole iff A ∩ N[P] is empty (equivalently, P ∩ N[A] is empty,
+    as closed neighborhoods are symmetric), so an attack with an unhit
+    slot is resisted without a fill. A fill moves only the vertices that
+    join or leave the new slot's N[P]. Before the first draw the ring is
+    seeded with the first min(a + 1, `_RECENT_PARTS`) parts of `_packing`,
+    whose N[P] are pairwise disjoint: with a + 1 of them every `a`-attack
+    leaves one whole, so no trial floods, and with fewer a trial floods
+    only when it hits every seeded part.
     """
     _validate(g, kappa, a)
     if trials < 1:
@@ -663,7 +762,12 @@ def sample_check(
     packed = [1 << shift + u | c for u, c in enumerate(colors)]  # slots join at fills
     nbhd = [0] * _RECENT_PARTS  # N[P] of the full-color part P in each slot
     live = 0  # the filled slots
-    fills = 0  # parts found so far; the next goes to slot fills % _RECENT_PARTS
+    # the ring starts with a packing: with a + 1 parts no trial floods
+    seeds = _packing(closed, colors, full, min(a + 1, _RECENT_PARTS))
+    for i, part in enumerate(seeds):
+        _fill_slot(closed, nbhd, packed, i, 1 << k + i, part)
+        live |= 1 << k + i
+    fills = len(seeds)  # parts kept so far; the next goes to slot fills % _RECENT_PARTS
 
     hr_failures = 0
     res_failures = 0

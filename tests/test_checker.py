@@ -3,6 +3,7 @@ import tracemalloc
 from functools import partial
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -442,8 +443,10 @@ class TestSampleCheck:
 
     def test_part_list_past_its_cap_keeps_the_naive_counts(self, fills):
         # sampled trials at n = 23, a = 2 find more full-color parts than
-        # the ring of slots keeps, and some of them fail
+        # the ring of slots keeps, and some of them fail; the packing that
+        # seeds the ring falls short, so trials still flood
         g, kappa = sparse_random_instances()[1]
+        assert len(checker._packing(g.closed_masks, kappa.masks, 7, 3)) <= 2
         rep = assert_sample_matches_naive(g, kappa, 2, 2000, 3)
         assert rep.resistance_failures > 0
         assert sum(1 for part in fills if part) > checker._RECENT_PARTS
@@ -606,8 +609,10 @@ def test_sparse_random_instances_agree_with_the_naive_reference():
 
 def test_part_list_past_its_cap_keeps_the_naive_verdicts(fills):
     # the exhaustive scan at n = 26, a = 3 finds more full-color parts than
-    # the ring of slots keeps, and passes
+    # the ring of slots keeps, and passes; the packing falls short of
+    # settling it
     g, kappa = sparse_random_instances()[2]
+    assert len(checker._packing(g.closed_masks, kappa.masks, 7, 4)) <= 3
     assert_report_matches_naive(g, kappa, 3)
     assert all(fills) and len(fills) > checker._RECENT_PARTS
 
@@ -1046,3 +1051,199 @@ def test_extremal_unions_pass_at_their_design_size_without_a_whole_graph_walk(
     assert rep.highly_resistant
     assert rep.attack_sets_examined == comb(g.n, inst.attackers)
     assert all(len(closed) < g.n for closed in whole_walks)
+
+
+def assert_packing_is_sound(n, edges, k, masks, a, limit):
+    """_packing's parts against the naive references: each is connected and
+    holds every color, their closed neighborhoods are pairwise disjoint,
+    there are at most `limit` of them, and more than `a` of them only on a
+    coloring that the naive scan finds `a`-resistant, which `_scan` then
+    settles without a walk. Returns the parts."""
+    full = (1 << k) - 1
+    g = Graph(n, edges)
+    parts = checker._packing(g.closed_masks, tuple(masks), full, limit)
+    assert len(parts) <= limit
+    closed = [{v} for v in range(n)]
+    for u, v in edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    reached = set()
+    for part in parts:
+        inside = [v for v in range(n) if part >> v & 1]
+        inside_edges = [(u, v) for u, v in edges if part >> u & 1 and part >> v & 1]
+        assert len(naive_components(inside, inside_edges)) == 1
+        assert _union(masks, inside) == full
+        reach = set().union(*(closed[v] for v in inside))
+        assert not reach & reached
+        reached |= reach
+    if len(parts) > a:
+        color_sets = [{c + 1 for c in range(k) if m >> c & 1} for m in masks]
+        assert naive_check_resistant(n, edges, k, color_sets, a) == (True, None)
+        with patch.object(checker, "_walk", side_effect=AssertionError("walked")):
+            assert checker._scan(g, Multicoloring(k, masks), a) is None
+    return parts
+
+
+@st.composite
+def packing_cases(draw):
+    n, edges, k, masks, a = draw(colored_instances(max_n=9))
+    return n, edges, k, masks, a, draw(st.integers(min_value=1, max_value=a + 1))
+
+
+@given(packing_cases())
+@settings(max_examples=300)
+def test_packing_parts_are_connected_full_color_and_far_apart(case):
+    assert_packing_is_sound(*case)
+
+
+@pytest.mark.parametrize(
+    "case, parts",
+    [
+        # one vertex holding the palette is one part
+        ((1, [], 2, [3], 1, 2), 1),
+        # color 3 is on no vertex: nothing is full-color
+        ((4, [(0, 1), (2, 3)], 3, [3, 3, 1, 2], 1, 2), 0),
+        # 20 isolated full-color vertices at a = 16: the scan's limit of 17
+        # settles it, the sampler's ring of 16 holds 16 of them
+        ((20, [], 1, [1] * 20, 16, 17), 17),
+        ((20, [], 1, [1] * 20, 16, checker._RECENT_PARTS), checker._RECENT_PARTS),
+        # a path 0-1-...-6 colored at 0, 3 and 6: N[{0}], N[{3}] and
+        # N[{6}] are disjoint, so three one-vertex parts settle a = 2
+        ((7, [(v, v + 1) for v in range(6)], 1, [1, 0, 0, 1, 0, 0, 1], 2, 3), 3),
+    ],
+    ids=["n=1", "color-on-no-vertex", "a=16-scan", "a=16-ring", "path"],
+)
+def test_packing_edge_cases(case, parts):
+    assert len(assert_packing_is_sound(*case)) == parts
+
+
+def test_packing_on_sparse_random_instances():
+    for g, kappa in sparse_random_instances():
+        for a in (1, 2, 3, 4):
+            for limit in (a + 1, min(a + 1, checker._RECENT_PARTS)):
+                assert_packing_is_sound(
+                    g.n, list(g.edges()), 3, kappa.masks, a, limit
+                )
+
+
+def check_random_instances(count, seed):
+    """`count` instances shaped like the benchmark's check-random ones:
+    n = 36..48, 3n/2 edges (mean degree 3), nonempty subsets of 3 colors."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(36, 48)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(rng.sample(pairs, 3 * n // 2))
+        out.append((Graph(n, edges), Multicoloring(3, [rng.randrange(1, 8) for _ in range(n)])))
+    return out
+
+
+def reports_with_and_without_packing(monkeypatch, g, kappa, a, workers):
+    """(check_highly, sample_check) reports with the packing, then with it
+    patched to find no part."""
+    reports = []
+    for found in (checker._packing, lambda closed, colors, full, limit: []):
+        with monkeypatch.context() as m:
+            m.setattr(checker, "_packing", found)
+            reports.append((
+                check_highly(g, kappa, a),
+                sample_check(g, kappa, a, 300, 11, workers=workers),
+            ))
+    return reports
+
+
+def test_packing_changes_no_report_on_random_instances(monkeypatch):
+    # the packing only skips attacks that leave a full-color part whole,
+    # so witnesses, examined counts and sampled counts do not move; most
+    # of these instances are settled by it, and some are not
+    settled = 0
+    for i, (g, kappa) in enumerate(check_random_instances(40, 97)):
+        for a in (3, 4):
+            with_packing, without = reports_with_and_without_packing(
+                monkeypatch, g, kappa, a, 1 + 2 * (i % 2)
+            )
+            assert with_packing == without
+            settled += len(checker._packing(g.closed_masks, kappa.masks, 7, a + 1)) > a
+    assert 20 < settled < 80
+
+
+@pytest.mark.parametrize("inst", catalog(), ids=lambda inst: inst.name)
+def test_packing_changes_no_report_on_the_catalog(monkeypatch, inst):
+    for a in range(1, inst.attackers + 2):
+        for workers in (1, 3):
+            with_packing, without = reports_with_and_without_packing(
+                monkeypatch, inst.graph, inst.coloring, a, workers
+            )
+            assert with_packing == without
+
+
+def counting(monkeypatch, name):
+    """Count the calls of checker.`name` and pass them through."""
+    real = getattr(checker, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checker, name, counted)
+    return calls
+
+
+def packing_settled_instances():
+    """A connected instance and a sparse random one of several components
+    that the packing settles at a = 3: a 30-cycle colored 1, 2, 3 around,
+    and the first check-random-shaped instance with more than 3 parts."""
+    cycle_inst = (cycle(30), Multicoloring(3, [1 << v % 3 for v in range(30)]))
+    random_inst = next(
+        (g, kappa) for g, kappa in check_random_instances(40, 97)
+        if len(component_masks(g.closed_masks, g.full_mask)) > 1
+        and len(checker._packing(g.closed_masks, kappa.masks, 7, 4)) > 3
+    )
+    return [cycle_inst, random_inst]
+
+
+@pytest.mark.parametrize("case", packing_settled_instances(), ids=["cycle-30", "random"])
+def test_a_packing_settled_scan_walks_nothing(monkeypatch, case):
+    g, kappa = case
+    assert len(checker._packing(g.closed_masks, kappa.masks, 7, 4)) == 4
+    walks = counting(monkeypatch, "_walk")
+    rounds = counting(monkeypatch, "_components_resist")
+    assert check_resistant(g, kappa, 3) == (True, None)
+    assert check_highly(g, kappa, 3).resistant
+    assert walks == [] and rounds == []
+
+
+@pytest.mark.parametrize("case", packing_settled_instances(), ids=["cycle-30", "random"])
+def test_a_packing_settled_sample_floods_nothing(monkeypatch, fills, case):
+    # the a + 1 = 4 seeded parts leave every 3-attack one part whole, so
+    # 10^4 trials fill no slot past the seeds and flood nothing
+    g, kappa = case
+    slots = counting(monkeypatch, "_fill_slot")
+    rep = sample_check(g, kappa, 3, 10_000, 5)
+    assert rep.resistance_failures == 0
+    assert fills == []
+    assert len(slots) == 4
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+def test_clique_partition_below_its_design_size_is_settled_by_its_cliques(monkeypatch, a):
+    # a + 1 or more full-color cliques settle the scan before the packing
+    packings = counting(monkeypatch, "_packing")
+    for design in range(a, 6):
+        inst = clique_partition(design)
+        assert check_highly(inst.graph, inst.coloring, a).resistant
+    assert packings == []
+
+
+@pytest.mark.parametrize("inst", catalog(), ids=lambda inst: inst.name)
+def test_catalog_components_have_no_room_for_a_second_part(monkeypatch, inst):
+    # a part of clique-partition:a needs all a + 1 vertices of its clique,
+    # one of paper-14 four of its C7's 7 vertices and one of paper-21 four
+    # of a C8's 8 (or the P5's 5): with N[P] one vertex larger, no
+    # component has room for two, so the scan never runs the packing
+    packings = counting(monkeypatch, "_packing")
+    for a in range(1, inst.attackers + 2):
+        check_highly(inst.graph, inst.coloring, a)
+    assert packings == []
