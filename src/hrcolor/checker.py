@@ -22,16 +22,19 @@ sets. The search is skipped when k > a * max|κ(v)|, since `a` vertices
 then hold at most a * max|κ(v)| < k colors between them.
 
 Resistance needs one full-color connected part per attack, not whole
-components, so the single flood fill `_full_color_part` stops at the
-first BFS level whose colors reach the palette and returns the part it
-flooded. Any such part P that an attack leaves whole proves the attack
-resisted. Closed neighborhoods are symmetric, so a vertex removes part of
-P (hits P) iff it lies in N[P], the union of closed[u] over u in P. The
-walk `_walk` visits attack prefixes depth first in rank order and keeps
-the last `_RECENT_PARTS` parts its fills returned. Take a prefix
-with s attackers still to add, all from its tail lo..n-1, and call a kept
-part unhit when no attacker of the prefix hits it. The walk skips every
-attack below the prefix when
+components, so the single flood fill `_fill` stops at the first BFS
+level whose colors reach the palette and returns the part P it flooded.
+Any such part that an attack leaves whole proves the attack resisted.
+Closed neighborhoods are symmetric, so a vertex removes part of P (hits
+P) iff it lies in N[P], the union of closed[u] over u in P; the fill ORs
+exactly these masks to find each next level, so it returns N[P] with P
+and nothing ORs them again. `_full_color_part` runs the fill on each
+component of the survivors, and the packing below from each start
+vertex. The walk `_walk` visits attack prefixes depth first in rank
+order and keeps the N[P] of the last `_RECENT_PARTS` parts its fills
+returned. Take a prefix with s attackers still to add, all from its tail
+lo..n-1, and call a kept part unhit when no attacker of the prefix hits
+it. The walk skips every attack below the prefix when
 
 * (a) some unhit P has N[P] ∩ tail empty: no attacker still to come can
   hit P; or
@@ -49,21 +52,23 @@ failing attack of a plain scan over all C(n, a) sets.
 These rules use one fact about a part P: an attack that misses N[P]
 leaves P whole, inside one surviving component. So they hold for any
 part test that a connected superset of a passing part also passes, and
-`_walk` takes the test as a flood function on closed-neighborhood masks.
-Two tests use it, and both pass on such supersets: "holds every color",
-which the resistance walk `_scan` floods with `_full_color_part`, since a
-superset holds every color its subset holds; and "has more than a
-vertices", which `search.blocking_attack` floods with `_large`, since a
-superset is at least as large.
+`_walk` takes the test as a flood function on closed-neighborhood masks
+that returns a passing part with its N[P]. Two tests use it, and both
+pass on such supersets: "holds every color", which the resistance walk
+`_scan` floods with `_full_color_part`, since a superset holds every
+color its subset holds; and "has more than a vertices", which
+`search.blocking_attack` floods with `_large`, since a superset is at
+least as large. `_large` runs `_fill` with a palette that no part
+reaches, so each fill floods a whole component and returns its N[P].
 
 Rule (b) also applies at the empty prefix, before any attack is walked
 or sampled: a + 1 connected full-color parts with pairwise disjoint N[P]
 prove a-resistance outright, since each attacker lies in at most one
 N[P]. The walk finds such parts only as fills of attacks it floods, and
 its parts may overlap, so `_packing` picks them up front instead, with
-small N[P]: it floods start vertices most colors first, then fewest
-neighbors first, and takes N[N[P]] out of the free vertices after each
-part P. `_scan` tries it after counting the full-color components and
+small N[P]: it runs `_fill` from start vertices most colors first, then
+fewest neighbors first, and takes N[N[P]] out of the free vertices after
+each part P. `_scan` tries it after counting the full-color components and
 before the component rounds below (or, on a connected graph, before the
 whole-graph walk), and returns None when it finds more than `a` parts.
 So clique-partition:a at a <= its design size, settled by its a + 1
@@ -99,7 +104,8 @@ sampler keeps its parts in a ring of slots like the walk's. An attack A
 leaves a part P whole iff A ∩ N[P] is empty, so a trial floods only when
 it hits every kept part (see `sample_check`). The ring starts with the
 first min(a + 1, `_RECENT_PARTS`) parts of the packing, so when the
-packing has a + 1 parts no trial floods at all.
+packing has a + 1 parts no trial floods at all. Every part, from a trial
+or the packing, enters the ring with the N[P] that its fill returned.
 
 Checks are sequential: under CPython's GIL a thread pool gains no speed.
 `check_hr` and `check_resistant` still accept a `threads` keyword and
@@ -202,61 +208,71 @@ def _validate(g: Graph, kappa: Multicoloring, a: int) -> None:
     _check_attack_size(g.n, a)
 
 
-def _full_color_part(
-    closed: tuple[int, ...],
-    colors: tuple[int, ...],
-    full: int,
-    survivors: int,
-) -> int:
-    """A connected set of `survivors` whose color union is the whole palette
-    `full`, as a mask, or 0 when no component of the graph induced on
-    `survivors` has every color.
+def _fill(
+    closed: tuple[int, ...], colors: tuple[int, ...], full: int, region: int, frontier: int
+) -> tuple[int, int]:
+    """Grow a connected part P of `region` from the vertices `frontier`,
+    level by level, until its colors reach the palette `full`, and return
+    (P, N[P]) as masks.
 
-    Each component is flooded level by level and the fill returns at the
-    first level where the colors reach `full`, so the part is the vertices
-    flooded so far: connected, but not always a whole component.
+    N[P], the union of closed[u] over u in P, is what the fill ORs to find
+    each next level, so it costs nothing more. When no level reaches
+    `full`, the fill has flooded the whole component C of `frontier` in
+    `region`, and it returns (0, N[C]); N[C] ∩ region is C.
+    """
+    part = reach = cu = 0
+    while frontier:
+        part |= frontier
+        while frontier:
+            b = frontier & -frontier
+            u = b.bit_length() - 1
+            reach |= closed[u]
+            cu |= colors[u]
+            frontier ^= b
+        if cu == full:
+            return part, reach
+        frontier = reach & region & ~part
+    return 0, reach
+
+
+def _full_color_part(
+    closed: tuple[int, ...], colors: tuple[int, ...], full: int, survivors: int
+) -> tuple[int, int]:
+    """A connected set P of `survivors` whose color union is the whole
+    palette `full`, and N[P], as masks; or (0, 0) when no component of the
+    graph induced on `survivors` has every color.
+
+    `_fill` runs on each component in turn, from its lowest vertex, so P is
+    the vertices flooded up to the first level where the colors reach
+    `full`: connected, but not always a whole component.
     """
     rem = survivors
     while rem:
-        frontier = rem & -rem
-        comp = 0
-        cu = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                u = b.bit_length() - 1
-                nxt |= closed[u]
-                cu |= colors[u]
-                f ^= b
-            if cu == full:
-                return comp
-            frontier = nxt & survivors & ~comp
-        rem &= ~comp
-    return 0
+        part, reach = _fill(closed, colors, full, survivors, rem & -rem)
+        if part:
+            return part, reach
+        rem &= ~reach
+    return 0, 0
 
 
 def _packing(
     closed: tuple[int, ...], colors: tuple[int, ...], full: int, limit: int
-) -> list[int]:
-    """Up to `limit` connected parts, as masks, that each hold the whole
-    palette `full` and whose closed neighborhoods N[P] are pairwise
+) -> list[tuple[int, int]]:
+    """Up to `limit` connected parts P, each with its N[P], as masks, that
+    each hold the whole palette `full` and whose N[P] are pairwise
     disjoint, so that more than a of them prove a-resistance (rule (b) at
     the empty prefix; see the module docstring).
 
     Start vertices are tried most colors first, then fewest neighbors
     first, then in ascending order, so that parts and their N[P] come out
-    small. Each is flooded level by level over the free vertices, as
-    `_full_color_part` floods, until its colors reach `full`. A part P
-    takes N[N[P]] out of the free vertices, so no later part comes within
-    distance 2 of it. A flood that falls short has flooded a whole free
+    small. Each start runs `_fill` over the free vertices. A part P takes
+    N[N[P]] out of the free vertices, so no later part comes within
+    distance 2 of it. A fill that falls short has flooded a whole free
     component, and none of its vertices is tried again.
     """
     n = len(closed)
     free = starts = (1 << n) - 1
-    parts: list[int] = []
+    parts: list[tuple[int, int]] = []
     for v in sorted(
         range(n), key=lambda u: (-colors[u].bit_count(), closed[u].bit_count())
     ):
@@ -264,23 +280,11 @@ def _packing(
             break
         if not starts >> v & 1:
             continue
-        frontier = 1 << v
-        part = reach = cu = 0  # reach: N[part]
-        while frontier:
-            part |= frontier
-            while frontier:
-                b = frontier & -frontier
-                u = b.bit_length() - 1
-                reach |= closed[u]
-                cu |= colors[u]
-                frontier ^= b
-            if cu == full:
-                break
-            frontier = reach & free & ~part
-        else:  # the free component of v holds no full-color part
-            starts &= ~part
+        part, reach = _fill(closed, colors, full, free, 1 << v)
+        if not part:  # the free component of v holds no full-color part
+            starts &= ~reach
             continue
-        parts.append(part)
+        parts.append((part, reach))
         if len(parts) == limit:
             break
         while reach:
@@ -291,10 +295,20 @@ def _packing(
     return parts
 
 
-def _large(closed: tuple[int, ...], a: int, survivors: int) -> int:
-    """The first component of the `survivors` mask with more than `a`
-    vertices, or 0: the part test of `search.blocking_attack` and sweeps."""
-    return next((c for c in component_masks(closed, survivors) if c.bit_count() > a), 0)
+def _large(closed: tuple[int, ...], a: int, survivors: int) -> tuple[int, int]:
+    """The first component C of the `survivors` mask with more than `a`
+    vertices, and N[C], or (0, 0): the part test of `search.blocking_attack`
+    and sweeps. Each component is flooded whole: `_fill` runs with the
+    closed masks as colors and the palette -1, which no union of masks
+    equals."""
+    rem = survivors
+    while rem:
+        reach = _fill(closed, closed, -1, survivors, rem & -rem)[1]
+        comp = reach & survivors
+        if comp.bit_count() > a:
+            return comp, reach
+        rem &= ~comp
+    return 0, 0
 
 
 def _first_cover(colors: Sequence[int], full: int, a: int) -> tuple[int, ...] | None:
@@ -366,20 +380,14 @@ def _cover(kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
     return _first_cover(kappa.masks, (1 << k) - 1, a)
 
 
-def _fill_slot(
-    closed: tuple[int, ...], nbhd: list[int], marks: list[int], i: int, bit: int, part: int
-) -> int:
-    """Put the full-color part `part` in slot i of a ring: store its N[P] in
-    nbhd[i] and flip `bit` in the marks of the vertices that join or leave
-    the slot's N[P], so each vertex's marks hold the slots it hits. Returns
-    N[P]."""
-    reach = 0
-    for u in _bits(part):
-        reach |= closed[u]
+def _fill_slot(nbhd: list[int], marks: list[int], i: int, bit: int, reach: int) -> None:
+    """Put a full-color part whose N[P] is `reach` in slot i of a ring:
+    flip `bit` in the marks of the vertices that join or leave the slot's
+    N[P], so each vertex's marks hold the slots it hits, and store `reach`
+    in nbhd[i]."""
     for u in _bits(nbhd[i] ^ reach):
         marks[u] ^= bit
     nbhd[i] = reach
-    return reach
 
 
 def _scan(g: Graph, kappa: Multicoloring, a: int) -> tuple[int, ...] | None:
@@ -491,27 +499,29 @@ def _induced(
 
 
 def _walk(
-    closed: tuple[int, ...], a: int, flood: Callable[[int], int]
+    closed: tuple[int, ...], a: int, flood: Callable[[int], tuple[int, int]]
 ) -> tuple[int, ...] | None:
     """The first attack in rank order, on the graph with these closed
     neighborhoods, whose survivors hold no part, or None when every attack
     leaves one.
 
-    `flood(survivors)` returns a connected set of the `survivors` mask
-    that passes the walk's part test, or 0 when no component of the
-    survivors passes it. Any connected superset of a passing part must
-    pass too, so that an attack that misses the N[P] of a kept part P
-    leaves a passing component and is rightly skipped (see the module
-    docstring).
+    `flood(survivors)` returns (P, N[P]): a connected set P of the
+    `survivors` mask that passes the walk's part test, and its closed
+    neighborhood, which the flood has ORed to grow P; or P = 0 when no
+    component of the survivors passes it. Any connected superset of a
+    passing part must pass too, so that an attack that misses the N[P] of
+    a kept part P leaves a passing component and is rightly skipped (see
+    the module docstring).
 
     A depth-first walk over attack prefixes in rank order, on an explicit
     stack, that skips what the module docstring's rules allow (`bound`).
-    The walk keeps the last `_RECENT_PARTS` parts its fills returned in a
-    ring of slots, each with its N[P], and for each vertex the slots whose
-    N[P] holds it, so adding an attacker updates a prefix's unhit slots
-    with one AND. A new part is unhit by every prefix on the stack, since
-    the attack that found it misses it. Each prefix is bounded again
-    before each next attacker, so parts found below it count at once.
+    The walk keeps the N[P] of the last `_RECENT_PARTS` parts its fills
+    returned in a ring of slots (`_fill_slot`), and for each vertex the
+    slots whose N[P] holds it, so adding an attacker updates a prefix's
+    unhit slots with one AND. A new part is unhit by every prefix on the
+    stack, since the attack that found it misses it. Each prefix is
+    bounded again before each next attacker, so parts found below it
+    count at once.
     The walk starts with no part kept, so its first leaf, the attack
     0..a-1, is always flooded.
     """
@@ -529,17 +539,16 @@ def _walk(
     # last vertex tried after it
     stack: list[list[int]] = []
 
-    def keep(part: int) -> int:
-        """Put `part` in the oldest slot and return its N[P]."""
+    def keep(reach: int) -> None:
+        """Put the part whose N[P] is `reach` in the oldest slot."""
         nonlocal fills
         i = fills % _RECENT_PARTS
         bit = 1 << i
-        reach = _fill_slot(closed, nbhd, hits, i, bit, part)
+        _fill_slot(nbhd, hits, i, bit, reach)
         for frame in stack:  # every prefix on the stack leaves the part whole
             frame[1] |= bit
         fills += 1
         memo.clear()
-        return reach
 
     def bound(unhit: int, lo: int, s: int) -> tuple[int, int]:
         """(hi, cand) for a prefix with these unhit slots, tail lo..n-1 and
@@ -571,9 +580,11 @@ def _walk(
             cand = bound(unhit, lo, 1)[1]
             for v in _bits(cand):
                 if cand >> v & 1:  # no part found at an earlier v misses it
-                    if not (part := flood(all_mask & ~(rm | closed[v]))):
+                    part, reach = flood(all_mask & ~(rm | closed[v]))
+                    if not part:
                         return (*(frame[2] for frame in stack), v)
-                    cand &= keep(part)
+                    keep(reach)
+                    cand &= reach
         else:
             stack.append([rm, unhit, lo - 1])
         while stack:
@@ -733,16 +744,17 @@ def sample_check(
     Each vertex has one packed word: its own bit, its colors, and the
     slots of the kept parts it hits. A trial ORs the words of its vertices,
     so a repeat changes nothing and the hold test reads the color bits.
-    Like `_walk`, the sampler keeps the last `_RECENT_PARTS` full-color
-    parts it found in a ring of slots, each with its N[P]. An attack A
-    leaves P whole iff A ∩ N[P] is empty (equivalently, P ∩ N[A] is empty,
-    as closed neighborhoods are symmetric), so an attack with an unhit
-    slot is resisted without a fill. A fill moves only the vertices that
-    join or leave the new slot's N[P]. Before the first draw the ring is
-    seeded with the first min(a + 1, `_RECENT_PARTS`) parts of `_packing`,
-    whose N[P] are pairwise disjoint: with a + 1 of them every `a`-attack
-    leaves one whole, so no trial floods, and with fewer a trial floods
-    only when it hits every seeded part.
+    Like `_walk`, the sampler keeps the N[P] of the last `_RECENT_PARTS`
+    full-color parts it found in a ring of slots. An attack A leaves P
+    whole iff A ∩ N[P] is empty (equivalently, P ∩ N[A] is empty, as
+    closed neighborhoods are symmetric), so an attack with an unhit slot
+    is resisted without a fill. A fill moves only the vertices that join
+    or leave the new slot's N[P], which `_full_color_part` returns with
+    the part. Before the first draw the ring is seeded with the first
+    min(a + 1, `_RECENT_PARTS`) parts of `_packing`, with the N[P] it
+    returns; these are pairwise disjoint, so with a + 1 of them every
+    `a`-attack leaves one whole and no trial floods, and with fewer a
+    trial floods only when it hits every seeded part.
     """
     _validate(g, kappa, a)
     if trials < 1:
@@ -764,8 +776,8 @@ def sample_check(
     live = 0  # the filled slots
     # the ring starts with a packing: with a + 1 parts no trial floods
     seeds = _packing(closed, colors, full, min(a + 1, _RECENT_PARTS))
-    for i, part in enumerate(seeds):
-        _fill_slot(closed, nbhd, packed, i, 1 << k + i, part)
+    for i, (_, reach) in enumerate(seeds):
+        _fill_slot(nbhd, packed, i, 1 << k + i, reach)
         live |= 1 << k + i
     fills = len(seeds)  # parts kept so far; the next goes to slot fills % _RECENT_PARTS
 
@@ -794,10 +806,10 @@ def sample_check(
                 rm = 0
                 for v in _bits(x >> shift):
                     rm |= closed[v]
-                part = _full_color_part(closed, colors, full, all_mask & ~rm)
+                part, reach = _full_color_part(closed, colors, full, all_mask & ~rm)
                 if part:
                     i = fills % _RECENT_PARTS
-                    _fill_slot(closed, nbhd, packed, i, 1 << k + i, part)
+                    _fill_slot(nbhd, packed, i, 1 << k + i, reach)
                     live |= 1 << k + i
                     fills += 1
                 else:
@@ -821,7 +833,7 @@ def sample_check(
             )
     if res_set is not None:
         removed = g.closed_neighborhood_set(res_set)
-        if _full_color_part(closed, colors, full, all_mask & ~removed.mask):
+        if _full_color_part(closed, colors, full, all_mask & ~removed.mask)[0]:
             raise RuntimeError(
                 f"sampled resistance failure {res_set.vertices()} "
                 "leaves a full-color component"

@@ -119,6 +119,8 @@ def instance(name: str) -> ColoredInstance:
     """Look up a construction by its stable name.
 
     Accepts "clique-partition:<a>" with a >= 1, "paper-14", or "paper-21".
+    The parameter must be written as the built instance's name writes it,
+    in plain decimal digits, so no two names build the same instance.
     """
     if name in _FIXED_FAMILIES:
         return _FIXED_FAMILIES[name]()
@@ -127,9 +129,14 @@ def instance(name: str) -> ColoredInstance:
         try:
             a = int(arg)
         except ValueError:
+            a = None
+        # int() also takes signs, spaces, underscores, leading zeros and
+        # non-ASCII digits, which the instance's name would drop
+        if a is None or str(a) != arg:
             raise ValueError(
-                f"bad clique-partition parameter {arg!r}; expected an integer"
-            ) from None
+                f"bad clique-partition parameter {arg!r}; expected an integer "
+                "in plain decimal digits"
+            )
         return clique_partition(a)
     raise ValueError(
         f"unknown family {name!r}; valid families: {', '.join(FAMILY_NAMES)}"

@@ -122,7 +122,9 @@ def _trials(
     the memberships at density 1/4 or 3/4, replayed exactly through
     `getrandbits`: the memberships come from one block of 2 * n * k
     outputs, least significant first, of which each pair's first output's
-    top byte decides.
+    top byte decides. A fixed palette (k_lo = k_hi) draws nothing, as in
+    the reference replay in `tests/test_lemmas.py`, although
+    `randint(k, k)` would still take an output from the generator.
     """
     getrandbits = rng.getrandbits
     n_span = scope.n_hi - scope.n_lo + 1

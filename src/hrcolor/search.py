@@ -382,7 +382,7 @@ def _open_graphs(n: int, a: int) -> Iterator[int]:
     rest = (1 << n) - (1 << a)
     for hi in range(1 << n * (n - 1) // 2 - low):
         closed = from_pair_bits(n, hi << low).closed_masks
-        open_los = [los for t, los in groups.items() if _large(closed, a, rest & ~t)]
+        open_los = [los for t, los in groups.items() if _large(closed, a, rest & ~t)[0]]
         for lo in sorted(chain.from_iterable(open_los)):
             yield lo | hi << low
 

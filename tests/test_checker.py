@@ -121,14 +121,14 @@ def assert_report_matches_naive(g, kappa, a):
 
 @pytest.fixture
 def fills(monkeypatch):
-    """What each call of checker._full_color_part returns, in call order."""
+    """The part each call of checker._full_color_part returns, in call order."""
     real = checker._full_color_part
     found = []
 
     def recording(closed, colors, full, survivors):
-        part = real(closed, colors, full, survivors)
+        part, reach = real(closed, colors, full, survivors)
         found.append(part)
-        return part
+        return part, reach
 
     monkeypatch.setattr(checker, "_full_color_part", recording)
     return found
@@ -368,7 +368,7 @@ class TestSampleCheck:
             # the single trial is judged truly (it fails); the replay of
             # that failure then finds a full-color part
             calls.append(survivors)
-            return real(closed, colors, full, survivors) if len(calls) == 1 else 1
+            return real(closed, colors, full, survivors) if len(calls) == 1 else (1, 1)
 
         monkeypatch.setattr(checker, "_full_color_part", disagreeing)
         with pytest.raises(RuntimeError):
@@ -637,7 +637,7 @@ def test_full_color_part_is_a_connected_full_color_set_of_survivors(case):
     n, edges, k, masks, survivors = case
     g = Graph(n, edges)
     full = (1 << k) - 1
-    part = checker._full_color_part(g.closed_masks, tuple(masks), full, survivors)
+    part, _ = checker._full_color_part(g.closed_masks, tuple(masks), full, survivors)
 
     alive = [v for v in range(n) if survivors >> v & 1]
     alive_edges = [(u, v) for u, v in edges if survivors >> u & 1 and survivors >> v & 1]
@@ -940,10 +940,10 @@ def test_walk_floods_only_attacks_that_hit_every_kept_part(monkeypatch, case):
 
     def checked(closed, colors, full, survivors):
         assert not any(part & ~survivors == 0 for part in kept)
-        part = real(closed, colors, full, survivors)
+        part, reach = real(closed, colors, full, survivors)
         if part:
             kept[:] = [part, *kept][: checker._RECENT_PARTS]
-        return part
+        return part, reach
 
     monkeypatch.setattr(checker, "_full_color_part", checked)
     n, k = g.n, kappa.palette_size
@@ -1068,7 +1068,7 @@ def assert_packing_is_sound(n, edges, k, masks, a, limit):
         closed[u].add(v)
         closed[v].add(u)
     reached = set()
-    for part in parts:
+    for part, _ in parts:
         inside = [v for v in range(n) if part >> v & 1]
         inside_edges = [(u, v) for u, v in edges if part >> u & 1 and part >> v & 1]
         assert len(naive_components(inside, inside_edges)) == 1
@@ -1247,3 +1247,154 @@ def test_catalog_components_have_no_room_for_a_second_part(monkeypatch, inst):
     for a in range(1, inst.attackers + 2):
         check_highly(inst.graph, inst.coloring, a)
     assert packings == []
+
+
+def naive_reach(edges, part):
+    """N[part] from the edge list: the part and every vertex joined to it."""
+    reach = part
+    for u, v in edges:
+        if part >> u & 1:
+            reach |= 1 << v
+        if part >> v & 1:
+            reach |= 1 << u
+    return reach
+
+
+def as_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def assert_fills_return_their_reach(n, edges, colors, full, survivors, a):
+    """Every fill's N[P] against a naive N[P] of the part it returns: the
+    fill from each survivor, `_full_color_part`, every `_packing` part and
+    `_large`, whose component is also the naive one."""
+    closed = Graph(n, edges).closed_masks
+    alive = [v for v in range(n) if survivors >> v & 1]
+    alive_edges = [(u, v) for u, v in edges if survivors >> u & 1 and survivors >> v & 1]
+    comps = [as_mask(c) for c in naive_components(alive, alive_edges)]
+    for v in alive:
+        part, reach = checker._fill(closed, colors, full, survivors, 1 << v)
+        if part:
+            assert part >> v & 1 and part & ~survivors == 0
+            assert reach == naive_reach(edges, part)
+        else:  # the fill fell short on the whole component of v
+            comp = next(c for c in comps if c >> v & 1)
+            assert reach & survivors == comp
+            assert reach == naive_reach(edges, comp)
+    part, reach = checker._full_color_part(closed, colors, full, survivors)
+    assert reach == (naive_reach(edges, part) if part else 0)
+    for part, reach in checker._packing(closed, colors, full, a + 1):
+        assert reach == naive_reach(edges, part)
+    comp, reach = checker._large(closed, a, survivors)
+    assert comp == next((c for c in comps if c.bit_count() > a), 0)
+    assert reach == (naive_reach(edges, comp) if comp else 0)
+
+
+@given(survivor_cases(), st.integers(min_value=0, max_value=12))
+@settings(max_examples=300)
+def test_fills_return_the_closed_neighborhood_of_their_part(case, a):
+    n, edges, k, masks, survivors = case
+    assert_fills_return_their_reach(n, edges, tuple(masks), (1 << k) - 1, survivors, a)
+
+
+@pytest.mark.parametrize("inst", catalog(), ids=lambda inst: inst.name)
+def test_fills_return_the_closed_neighborhood_of_their_part_on_the_catalog(inst):
+    # the whole graph, then what 40 random design-size attacks leave
+    g, kappa, a = inst.graph, inst.coloring, inst.attackers
+    edges = list(g.edges())
+    full = (1 << kappa.palette_size) - 1
+    rng = random.Random(inst.name)
+    assert_fills_return_their_reach(g.n, edges, kappa.masks, full, g.full_mask, a)
+    for _ in range(40):
+        removed = naive_reach(edges, as_mask(rng.sample(range(g.n), a)))
+        survivors = g.full_mask & ~removed
+        assert_fills_return_their_reach(g.n, edges, kappa.masks, full, survivors, a)
+
+
+@pytest.fixture
+def ring_fills(monkeypatch):
+    """Each ring fill as (the slots' N[P] list, the marks list, slot, bit)."""
+    real = checker._fill_slot
+    calls = []
+
+    def recording(nbhd, marks, i, bit, reach):
+        calls.append((nbhd, marks, i, bit))
+        return real(nbhd, marks, i, bit, reach)
+
+    monkeypatch.setattr(checker, "_fill_slot", recording)
+    return calls
+
+
+def assert_ring_holds_its_parts(edges, calls, parts):
+    """Each slot's stored N[P] is the naive N[P] of the last of `parts` put
+    there (the parts are in fill order), and each vertex is marked with
+    exactly the slots whose N[P] hold it."""
+    assert len(calls) == len(parts)
+    last = {i: (nbhd, marks, bit, part) for (nbhd, marks, i, bit), part in zip(calls, parts)}
+    for i, (nbhd, marks, bit, part) in last.items():
+        assert nbhd[i] == naive_reach(edges, part)
+        assert as_mask(u for u, m in enumerate(marks) if m & bit) == nbhd[i]
+
+
+def walk_cases():
+    """Check-random-shaped instances at a = 3 and 4, and the catalog at its
+    design size and one past it."""
+    cases = [
+        pytest.param(g, kappa, a, id=f"random-{i}@{a}")
+        for i, (g, kappa) in enumerate(check_random_instances(6, 5)) for a in (3, 4)
+    ]
+    for inst in catalog():
+        cases += [
+            pytest.param(inst.graph, inst.coloring, a, id=f"{inst.name}@{a}")
+            for a in (inst.attackers, inst.attackers + 1)
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("g, kappa, a", walk_cases())
+def test_walk_rings_hold_the_closed_neighborhoods_of_their_parts(ring_fills, g, kappa, a):
+    # both part tests: the full-color flood and `_large`; a walk that the
+    # first attack fails fills no slot
+    closed, edges = g.closed_masks, list(g.edges())
+    full = (1 << kappa.palette_size) - 1
+    filled = 0
+    for test in (partial(checker._full_color_part, closed, kappa.masks, full),
+                 partial(checker._large, closed, a)):
+        ring_fills.clear()
+        parts = []
+
+        def flood(survivors):
+            part, reach = test(survivors)
+            if part:
+                parts.append(part)
+            return part, reach
+
+        checker._walk(closed, a, flood)
+        assert_ring_holds_its_parts(edges, ring_fills, parts)
+        filled += len(parts)
+    assert filled
+
+
+@pytest.mark.parametrize("g, kappa, a", walk_cases())
+def test_sampler_rings_hold_the_closed_neighborhoods_of_their_parts(
+    monkeypatch, ring_fills, g, kappa, a
+):
+    # the packing's seeds and then every trial's fill, in fill order
+    parts = []
+    packing, flood = checker._packing, checker._full_color_part
+
+    def seeds(*args):
+        found = packing(*args)
+        parts.extend(part for part, _ in found)
+        return found
+
+    def filled(*args):
+        part, reach = flood(*args)
+        if part:
+            parts.append(part)
+        return part, reach
+
+    monkeypatch.setattr(checker, "_packing", seeds)
+    monkeypatch.setattr(checker, "_full_color_part", filled)
+    sample_check(g, kappa, a, 300, 7)
+    assert_ring_holds_its_parts(list(g.edges()), ring_fills, parts)

@@ -63,6 +63,13 @@ class TestConstruct:
         assert rc == 2 and out == ""
         assert "4225 vertices" in err
 
+    def test_clique_partition_parameter_written_otherwise_is_refused(self, capsys):
+        # int() reads "1_0" as 10, but the document would be named
+        # clique-partition:10
+        rc, out, err = run(capsys, "construct", "--family", "clique-partition:1_0")
+        assert rc == 2 and out == ""
+        assert "bad clique-partition parameter '1_0'" in err
+
     def test_unknown_family(self, capsys):
         rc, _, err = run(capsys, "construct", "--family", "paper-9")
         assert rc == 2
@@ -151,6 +158,18 @@ class TestCheck:
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "check", "--instance", "/nonexistent.json", "-a", "1")
         assert rc == 2
+
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        # a decoding error names the file, as a failed open does
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe")
+        for argv in (
+            ["check", "--instance", str(p), "-a", "1"],
+            ["search", "--graph", str(p), "-a", "1", "-k", "2"],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and out == ""
+            assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode")
 
     def test_missing_inputs_are_usage_errors(self, capsys, two_k2_edges, tmp_path):
         coloring = tmp_path / "c.json"

@@ -155,3 +155,14 @@ class TestLookup:
             instance("clique-partition:x")
         with pytest.raises(ValueError):
             instance("clique-partition:0")
+
+    @pytest.mark.parametrize("arg", ["1_0", " 2", "2 ", "+2", "02", "00", "\u0663", "", "2.0"])
+    def test_parameter_must_be_the_name_it_builds(self, arg):
+        # int() reads all but the last two as integers, and the built
+        # instance would be named clique-partition:<int(arg)>
+        with pytest.raises(ValueError, match="bad clique-partition parameter"):
+            instance(f"clique-partition:{arg}")
+
+    @pytest.mark.parametrize("a", [1, 2, 10])
+    def test_parameter_round_trips_through_the_name(self, a):
+        assert instance(f"clique-partition:{a}").name == f"clique-partition:{a}"
