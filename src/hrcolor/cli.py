@@ -11,10 +11,16 @@ builds its report's JSON object and human text side by side and hands both
 to `_emit`, the one writer of every report; `_EXIT` is the one map from a
 report's verdict to its exit code.
 
-`main` parses a command's flags with that command's parser alone. The full
-parser runs only when the first word names no command (no arguments, `-h`,
-an unknown word) or the command leaves arguments it does not know; then it
-prints the same help and usage errors as a full parse always did.
+`main` first reads the command line off the command's table, which maps
+each of the command's option strings to the argparse Action that declared
+it. The table reads only `command (--flag value | --switch)*`: each flag
+an exact option string of that command, each value not starting with `-`,
+converted by the Action's type and within its choices, and every required
+flag present; it fills in the defaults as a parse would. Anything else
+(help, `=` forms, abbreviations, `--`, a negative number, a bad value, a
+missing flag, a leftover word) is parsed by the full argparse parser,
+which accepts every spelling it always did and prints the same help and
+usage errors.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import codec, constructions, lemmas, search
 from .checker import check_highly, sample_check
@@ -50,8 +56,9 @@ def _vs_human(vs: VertexSet | None) -> str:
 
 
 def _read(path: str) -> str:
+    # utf-8-sig: a byte-order mark that starts the file is not text
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
@@ -376,99 +383,141 @@ def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
-def _build() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
-    """The full parser, and each command's parser by command name."""
+# a command's table: each of its option strings to the Action that declared
+# it, the namespace of a call that passes no flag, and its required Actions
+_Table = tuple[Mapping[str, argparse.Action], Mapping[str, Any], frozenset]
+
+
+def _build() -> tuple[argparse.ArgumentParser, Mapping[str, _Table]]:
+    """The full parser, and each command's table by command name."""
     parser = argparse.ArgumentParser(
         prog="hrcolor",
         description="Verify, construct, and search for highly attack-resistant "
         "vertex multicolorings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, dict[str, argparse.Action]] = {}
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("human", "json"), default="human",
-                       help="output format (default: human)")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="sampling substream count for check --sample; "
-                       "scans are sequential (default: 1)")
+    def command(name: str, func: Callable[[argparse.Namespace], int],
+                help: str) -> Callable[..., None]:
+        """Add a command's parser; returns its add_argument, which also
+        enters each option string into the command's table."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        table = options[name] = {}
 
-    p_check = sub.add_parser("check", help="verify an instance exhaustively or by sampling")
-    p_check.add_argument("--instance", help="instance document path")
-    p_check.add_argument("--graph", help="edge-list path (with --coloring)")
-    p_check.add_argument("--coloring", help="coloring document path (with --graph)")
-    p_check.add_argument("-a", "--attackers", type=int, default=None,
-                         help="attack size (defaults to the instance's value)")
-    p_check.add_argument("--sample", type=int, default=None, metavar="TRIALS",
-                         help="sample attack sets instead of full enumeration")
-    p_check.add_argument("--seed", type=int, default=None,
-                         help=f"sampling seed, with --sample (default: {DEFAULT_SEED})")
-    add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
+        def flag(*names: str, **kw: Any) -> None:
+            table.update(dict.fromkeys(names, p.add_argument(*names, **kw)))
 
-    p_construct = sub.add_parser("construct", help="emit a named instance document")
-    p_construct.add_argument("--family", required=True,
-                             help="one of: " + ", ".join(constructions.FAMILY_NAMES))
-    add_common(p_construct)
-    p_construct.set_defaults(func=cmd_construct)
+        return flag
 
-    p_search = sub.add_parser("search", help="decide existence, scan palettes, or sweep graphs")
-    p_search.add_argument("--graph", help="edge-list path")
-    p_search.add_argument("-a", "--attackers", type=int, required=True)
-    p_search.add_argument("-k", type=int, default=None, help="palette size to decide")
-    p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                          help=f"search node budget (default: {DEFAULT_BUDGET})")
-    p_search.add_argument("--min-colors", action="store_true",
-                          help="scan k = a+1..kmax for the smallest sat palette")
-    p_search.add_argument("--nonexistence", action="store_true",
-                          help="sweep all labeled graphs on n vertices")
-    p_search.add_argument("-n", type=int, default=None,
-                          help="vertex count for --nonexistence")
-    p_search.add_argument("--kmax", type=int, default=None,
-                          help="largest palette size for --min-colors/--nonexistence")
-    add_common(p_search)
-    p_search.set_defaults(func=cmd_search)
+    p_check = command("check", cmd_check, "verify an instance exhaustively or by sampling")
+    p_check("--instance", help="instance document path")
+    p_check("--graph", help="edge-list path (with --coloring)")
+    p_check("--coloring", help="coloring document path (with --graph)")
+    p_check("-a", "--attackers", type=int, default=None,
+            help="attack size (defaults to the instance's value)")
+    p_check("--sample", type=int, default=None, metavar="TRIALS",
+            help="sample attack sets instead of full enumeration")
+    p_check("--seed", type=int, default=None,
+            help=f"sampling seed, with --sample (default: {DEFAULT_SEED})")
 
-    p_lemma = sub.add_parser("verify-lemma", help="run a randomized disjunction suite")
-    p_lemma.add_argument("--lemma", type=int, required=True,
-                         help="suite id, one of: " + ", ".join(map(str, lemmas.LEMMA_IDS)))
-    p_lemma.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                         help=f"trial count (default: {DEFAULT_TRIALS})")
-    p_lemma.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help=f"seed (default: {DEFAULT_SEED})")
-    add_common(p_lemma)
-    p_lemma.set_defaults(func=cmd_verify_lemma)
+    p_construct = command("construct", cmd_construct, "emit a named instance document")
+    p_construct("--family", required=True,
+                help="one of: " + ", ".join(constructions.FAMILY_NAMES))
 
-    p_table = sub.add_parser("table", help="print the minimum-color table, re-certified")
-    p_table.add_argument("--max-a", type=int, default=4,
-                         help="largest attack size to include (at most 4)")
-    add_common(p_table)
-    p_table.set_defaults(func=cmd_table)
+    p_search = command("search", cmd_search, "decide existence, scan palettes, or sweep graphs")
+    p_search("--graph", help="edge-list path")
+    p_search("-a", "--attackers", type=int, required=True)
+    p_search("-k", type=int, default=None, help="palette size to decide")
+    p_search("--budget", type=int, default=DEFAULT_BUDGET,
+             help=f"search node budget (default: {DEFAULT_BUDGET})")
+    p_search("--min-colors", action="store_true",
+             help="scan k = a+1..kmax for the smallest sat palette")
+    p_search("--nonexistence", action="store_true",
+             help="sweep all labeled graphs on n vertices")
+    p_search("-n", type=int, default=None, help="vertex count for --nonexistence")
+    p_search("--kmax", type=int, default=None,
+             help="largest palette size for --min-colors/--nonexistence")
 
-    return parser, sub.choices
+    p_lemma = command("verify-lemma", cmd_verify_lemma, "run a randomized disjunction suite")
+    p_lemma("--lemma", type=int, required=True,
+            help="suite id, one of: " + ", ".join(map(str, lemmas.LEMMA_IDS)))
+    p_lemma("--trials", type=int, default=DEFAULT_TRIALS,
+            help=f"trial count (default: {DEFAULT_TRIALS})")
+    p_lemma("--seed", type=int, default=DEFAULT_SEED, help=f"seed (default: {DEFAULT_SEED})")
+
+    p_table = command("table", cmd_table, "print the minimum-color table, re-certified")
+    p_table("--max-a", type=int, default=4, help="largest attack size to include (at most 4)")
+
+    for flag in (p_check, p_construct, p_search, p_lemma, p_table):
+        flag("--format", choices=("human", "json"), default="human",
+             help="output format (default: human)")
+        flag("--threads", type=_positive_int, default=1,
+             help="sampling substream count for check --sample; "
+             "scans are sequential (default: 1)")
+
+    # every flag is a store or store_true action, and no default is a
+    # string that argparse would pass through the flag's type
+    tables = {}
+    for name, table in options.items():
+        actions = set(table.values())
+        base = {a.dest: a.default for a in actions}
+        base.update(command=name, func=sub.choices[name].get_default("func"))
+        tables[name] = table, base, frozenset(a for a in actions if a.required)
+    return parser, tables
 
 
-_parser: argparse.ArgumentParser | None = None
-_commands: Mapping[str, argparse.ArgumentParser] = {}
+def _from_table(tables: Mapping[str, _Table], argv: list[str]) -> argparse.Namespace | None:
+    """`argv` read off its command's table, or None where argparse must
+    read it (module docstring)."""
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, base, required = table
+    values = dict(base)
+    seen = set()
+    words = iter(argv[1:])
+    for word in words:
+        action = options.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:  # a switch
+            values[action.dest] = action.const
+        else:
+            raw = next(words, "-")
+            if raw.startswith("-"):
+                return None
+            try:
+                value = raw if action.type is None else action.type(raw)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        seen.add(action)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+_built: tuple[argparse.ArgumentParser, Mapping[str, _Table]] | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
     # built on the first call and reused: building it costs more than a
     # small check, and argparse looks up sys.stdout and sys.stderr only
     # when it prints
-    global _parser, _commands
-    if _parser is None:
-        _parser, _commands = _build()
+    global _built
+    if _built is None:
+        _built = _build()
+    parser, tables = _built
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        # called as the full parser's command action calls it; the full
-        # parser only prints help and usage errors (module docstring)
-        sub = _commands.get(argv[0]) if argv else None
-        args, extra = sub.parse_known_args(argv[1:]) if sub is not None else (None, True)
-        if extra:
-            args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
+    args = _from_table(tables, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:  # a codec.CodecError is a ValueError

@@ -10,6 +10,8 @@ Two formats are supported, both UTF-8 with LF line endings:
   number written in ASCII digits with an optional leading minus sign.
 
 Encoding is canonical: the same value always produces the same bytes.
+The CLI reads files with `utf-8-sig`, so a byte-order mark that starts a
+file never reaches a decoder; one anywhere else is text.
 
 Decoding reports the first fault it meets as a `CodecError`. Each edge
 is checked once and written straight into the closed-neighborhood masks

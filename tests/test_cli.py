@@ -1,12 +1,16 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hrcolor import cli
 from hrcolor.checker import check_highly
 from hrcolor.cli import EXIT_PASS, EXIT_USAGE, build_parser, main
 from hrcolor.codec import decode_instance, encode_instance
@@ -479,35 +483,46 @@ def _full_parse_main(argv):
         return EXIT_USAGE, args
 
 
-class TestOneParse:
+class TestTableParse:
     @pytest.fixture
     def parses(self, monkeypatch):
-        """(prog, namespace) of every parse that returns, in return order."""
-        returned = []
+        """The prog of every argparse parse, in call order."""
+        called = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def spy(self, *a, **kw):
-            result = parse_known_args(self, *a, **kw)
-            returned.append((self.prog, result[0]))
-            return result
+            called.append(self.prog)
+            return parse_known_args(self, *a, **kw)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-        return returned
+        return called
 
-    def test_main_matches_a_full_parse(self, capsys, parses, k2_instance, k3_edges):
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """The namespace of every command run, in run order."""
+        ran = []
+        for name in ("cmd_check", "cmd_construct", "cmd_search", "cmd_verify_lemma", "cmd_table"):
+            def spy(args, func=getattr(cli, name)):
+                ran.append(args)
+                return func(args)
+
+            monkeypatch.setattr(cli, name, spy)
+        # rebuilt on the next call, with the spies as the commands' funcs
+        monkeypatch.setattr(cli, "_built", None)
+        return ran
+
+    def test_main_matches_a_full_parse(self, capsys, dispatched, k2_instance, k3_edges):
         for argv in _argvs(k2_instance, k3_edges):
-            parses.clear()
+            dispatched.clear()
             got = run(capsys, *argv)
-            # the namespace `main` dispatches on is the last one returned
-            ns = parses[-1][1] if parses else None
+            ns = dispatched[0] if dispatched else None
             code, want_ns = _full_parse_main(argv)
             assert got == (code, *capsys.readouterr()), argv
-            if want_ns is not None:
-                assert {k: v for k, v in vars(ns).items() if k != "command"} == {
-                    k: v for k, v in vars(want_ns).items() if k != "command"
-                }, argv
+            assert (None if ns is None else vars(ns)) == (
+                None if want_ns is None else vars(want_ns)
+            ), argv
 
-    def test_a_valid_command_is_parsed_once(self, capsys, parses, k2_instance, k3_edges):
+    def test_a_valid_command_runs_no_argparse_parse(self, capsys, parses, k2_instance, k3_edges):
         for argv in (
             ["check", "--instance", k2_instance, "--format", "json"],
             ["search", "--graph", k3_edges, "-a", "1", "-k", "2"],
@@ -515,12 +530,167 @@ class TestOneParse:
         ):
             parses.clear()
             run(capsys, *argv)
-            assert [prog for prog, _ in parses] == [f"hrcolor {argv[0]}"], argv
+            assert parses == [], argv
 
-    def test_leftover_flags_fall_back_to_the_full_parser(self, capsys, parses):
+    def test_a_declined_argv_runs_only_the_full_parse(self, capsys, parses, k2_instance):
+        for argv in (
+            ["check", "--no-such-flag"],
+            ["check", "--instance", k2_instance, "--format=json"],
+            ["--help"],
+        ):
+            parses.clear()
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    build_parser().parse_args(argv)
+                except SystemExit:
+                    pass
+            full = list(parses)
+            assert full, argv
+            parses.clear()
+            run(capsys, *argv)
+            assert parses == full, argv
         rc, out, err = run(capsys, "check", "--no-such-flag")
-        # the command's parse, then the full parse with its nested one
-        assert [prog for prog, _ in parses] == ["hrcolor check", "hrcolor check", "hrcolor"]
         assert (rc, out) == (2, "")
         assert err.startswith("usage: hrcolor [-h]")
         assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
+
+
+# words that no table reads, or that argparse reads in some other way
+_ODD_WORDS = ("-h", "--help", "--inst", "--format=json", "-a3", "--", "-", "", "-1",
+              "0", "1", "x", "xml", "json", "--min-colors")
+
+
+def _full_parse(parser, argv):
+    """vars() of argparse's parse of `argv`, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.fixture(scope="module")
+def built():
+    return cli._build()
+
+
+class TestTableReadsAsArgparse:
+    """`cli._from_table` returns None or exactly argparse's namespace."""
+
+    def test_every_short_argv(self, built):
+        parser, tables = built
+        for name, (options, _, _) in tables.items():
+            vocabulary = sorted(options) + list(_ODD_WORDS)
+            read_flags = set()
+            for size in range(5):
+                for words in itertools.product(vocabulary, repeat=size):
+                    argv = [name, *words]
+                    ns = cli._from_table(tables, argv)
+                    if ns is not None:
+                        assert vars(ns) == _full_parse(parser, argv), argv
+                        read_flags.update(words)
+            # every option string is read somewhere in the sweep
+            assert read_flags >= set(options), name
+
+    def test_declines_what_argparse_refuses_or_reads_otherwise(self, built):
+        _, tables = built
+        for argv in (
+            [],
+            ["nonsense"],
+            ["--help"],
+            ["check", "-h"],
+            ["check", "--inst", "x"],
+            ["check", "--format=json"],
+            ["check", "-a3"],
+            ["check", "-a", "-1"],
+            ["check", "--", "x"],
+            ["check", "-a", "x"],
+            ["check", "--threads", "0"],
+            ["check", "--format", "xml"],
+            ["check", "--format"],
+            ["check", "extra"],
+            ["search", "-k", "2"],
+            ["construct"],
+        ):
+            assert cli._from_table(tables, argv) is None, argv
+
+    def test_reads_repeats_and_switches_as_argparse_does(self, built):
+        parser, tables = built
+        for argv in (
+            ["check", "-a", "1", "--attackers", "2", "--format", "json", "--format", "human"],
+            ["search", "-a", "1", "--min-colors", "--min-colors", "--kmax", "4"],
+            ["construct", "--family", "paper-14", "--family", "paper-21"],
+            ["table"],
+        ):
+            ns = cli._from_table(tables, argv)
+            assert ns is not None, argv
+            assert vars(ns) == _full_parse(parser, argv), argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(("check", "construct", "search", "verify-lemma", "table")),
+           st.lists(st.one_of(st.sampled_from(sorted({
+               *_ODD_WORDS, "-a", "--attackers", "-k", "-n", "--instance", "--graph",
+               "--coloring", "--sample", "--seed", "--family", "--budget", "--nonexistence",
+               "--kmax", "--lemma", "--trials", "--max-a", "--format", "--threads",
+               "human", "paper-14", "2", "5"})),
+               st.text(max_size=4)), max_size=8))
+    def test_random_argv(self, built, name, words):
+        parser, tables = built
+        argv = [name, *words]
+        ns = cli._from_table(tables, argv)
+        if ns is not None:
+            assert vars(ns) == _full_parse(parser, argv), argv
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts a file is not read as text."""
+
+    BOM = "\ufeff"
+
+    def _same_with_and_without_bom(self, capsys, tmp_path, texts, argv):
+        """Run `argv`, its `{name}` fields filled with files holding
+        `texts`, once plain and once with each file BOM-prefixed."""
+        results = []
+        for prefix in ("", self.BOM):
+            paths = {}
+            for name, text in texts.items():
+                path = tmp_path / f"{'bom-' if prefix else ''}{name}"
+                path.write_text(prefix + text, encoding="utf-8")
+                paths[name] = str(path)
+            results.append(run(capsys, *(w.format(**paths) for w in argv)))
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_instance_document(self, capsys, tmp_path):
+        texts = {"inst": encode_instance(c7_pair())}
+        for fmt in ("human", "json"):
+            rc, _, err = self._same_with_and_without_bom(
+                capsys, tmp_path, texts, ["check", "--instance", "{inst}", "--format", fmt])
+            assert (rc, err) == (0, "")
+
+    def test_edge_list(self, capsys, tmp_path):
+        texts = {"g": "4 2\n0 1\n2 3\n"}
+        rc, out, err = self._same_with_and_without_bom(
+            capsys, tmp_path, texts, ["search", "--graph", "{g}", "-a", "1", "-k", "2"])
+        assert (rc, err) == (0, "") and "sat" in out
+
+    def test_coloring_file(self, capsys, tmp_path):
+        texts = {"g": "4 2\n0 1\n2 3\n", "c": '{"k": 2, "colors": [[1], [2], [1], [2]]}'}
+        rc, _, err = self._same_with_and_without_bom(
+            capsys, tmp_path, texts, ["check", "--graph", "{g}", "--coloring", "{c}", "-a", "1"])
+        assert (rc, err) == (0, "")
+
+    def test_a_mark_after_the_first_byte_is_still_an_error(self, capsys, tmp_path):
+        inst, edges = encode_instance(c7_pair()), "4 2\n0 1\n2 3\n"
+        docs = {
+            "inst": (inst, inst.replace("{", self.BOM + "{", 1), ["check", "--instance", "{}"]),
+            "g": (edges, edges.replace(" ", self.BOM + " ", 1),
+                  ["search", "--graph", "{}", "-a", "1", "-k", "2"]),
+        }
+        for name, (text, inner, argv) in docs.items():
+            for bad in (self.BOM * 2 + text, inner):
+                path = tmp_path / name
+                path.write_text(bad, encoding="utf-8")
+                rc, out, err = run(capsys, *(w.format(path) for w in argv))
+                assert (rc, out) == (2, ""), (name, bad[:4])
+                assert err.startswith("error: "), (name, bad[:4])
